@@ -1,10 +1,8 @@
 #include "common/testbed.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 
-#include "nn/serialize.hpp"
 #include "train/loss.hpp"
 #include "train/metrics.hpp"
 #include "train/optimizer.hpp"
@@ -14,7 +12,6 @@ namespace dpv::bench {
 
 namespace {
 
-constexpr const char* kCachePath = "dpv_testbed_model_v1.txt";
 constexpr std::size_t kTrainCount = 1400;
 constexpr std::size_t kValCount = 600;
 constexpr std::uint64_t kTrainSeed = 101;
@@ -38,23 +35,15 @@ Testbed build_testbed() {
   Rng rng(7);
   data::PerceptionModel model = data::make_perception_network(pconfig, rng);
 
-  std::ifstream cache(kCachePath);
-  if (cache.good()) {
-    std::printf("[testbed] loading cached perception model from %s\n", kCachePath);
-    model.network = nn::load(cache);
-  } else {
-    std::printf("[testbed] training direct perception network (%zu samples)...\n",
-                tb.regression_train.size());
-    train::MseLoss loss;
-    train::Adam optimizer(0.005);
-    train::Trainer trainer({.epochs = 18, .batch_size = 32, .shuffle_seed = 3});
-    const train::LossHistory history =
-        trainer.fit(model.network, tb.regression_train, loss, optimizer);
-    std::printf("[testbed] final training loss %.5f, val MSE %.5f\n", history.back(),
-                train::regression_mse(model.network, data::to_regression_dataset(tb.val_samples)));
-    nn::save_file(model.network, kCachePath);
-    std::printf("[testbed] cached model to %s\n", kCachePath);
-  }
+  std::printf("[testbed] training direct perception network (%zu samples)...\n",
+              tb.regression_train.size());
+  train::MseLoss loss;
+  train::Adam optimizer(0.005);
+  train::Trainer trainer({.epochs = 18, .batch_size = 32, .shuffle_seed = 3});
+  const train::LossHistory history =
+      trainer.fit(model.network, tb.regression_train, loss, optimizer);
+  std::printf("[testbed] final training loss %.5f, val MSE %.5f\n", history.back(),
+              train::regression_mse(model.network, data::to_regression_dataset(tb.val_samples)));
   tb.model = std::move(model);
   return tb;
 }

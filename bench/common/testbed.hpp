@@ -2,8 +2,9 @@
 //
 // Every bench binary needs the same substrate the paper's evaluation
 // used: a trained direct perception network plus labelled road data. The
-// testbed trains it once (deterministically) and caches the weights on
-// disk, so repeated bench runs skip the training phase.
+// testbed trains it deterministically, in process, once per process (a
+// few seconds). Nothing is read from or written to disk, so a bench's
+// wall time and results never depend on files left by earlier runs.
 #pragma once
 
 #include <cstddef>
@@ -29,8 +30,8 @@ struct Testbed {
   std::vector<Tensor> odd_inputs() const { return regression_train.inputs(); }
 };
 
-/// Returns the process-wide testbed, training (or loading from
-/// ./dpv_testbed_model_v1.txt) on first use. Prints progress to stdout.
+/// Returns the process-wide testbed, training it on first use. Prints
+/// progress to stdout.
 const Testbed& testbed();
 
 }  // namespace dpv::bench

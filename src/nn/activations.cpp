@@ -30,6 +30,7 @@ Tensor ElementwiseActivation::forward_train(const Tensor& x, std::size_t slot) {
 Tensor ElementwiseActivation::backward_sample(const Tensor& grad_out, std::size_t slot) {
   const Tensor& x = cached_inputs_[slot];
   const Tensor& y = cached_outputs_[slot];
+  check_numel(grad_out, x.numel(), "activation: gradient");
   Tensor gx = grad_out;
   for (std::size_t i = 0; i < gx.numel(); ++i) gx[i] *= derivative(x[i], y[i]);
   return gx;

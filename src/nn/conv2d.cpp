@@ -1,5 +1,6 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -8,6 +9,14 @@
 namespace dpv::nn {
 
 namespace {
+// acc + a * b in one rounding where the target has FMA, even where the
+// vectorizer would split a reduction into a product and an add.
+#ifdef __FMA__
+inline double fused(double a, double b, double acc) { return std::fma(a, b, acc); }
+#else
+inline double fused(double a, double b, double acc) { return acc + a * b; }
+#endif
+
 std::size_t conv_extent(std::size_t in, std::size_t kernel, std::size_t stride,
                         std::size_t padding) {
   check(in + 2 * padding >= kernel, "Conv2D: kernel larger than padded input");
@@ -48,68 +57,68 @@ void Conv2D::set_parameters(Tensor weight, Tensor bias) {
   bias_ = bias.reshaped(bias_.shape());
 }
 
-double Conv2D::input_at(const Tensor& x, std::size_t c, long r, long col) const {
-  if (r < 0 || col < 0 || r >= static_cast<long>(in_height_) ||
-      col >= static_cast<long>(in_width_))
-    return 0.0;
-  return x.at3(c, static_cast<std::size_t>(r), static_cast<std::size_t>(col));
-}
-
-Tensor Conv2D::forward(const Tensor& x_in) const {
-  const Tensor x = x_in.shape().rank() == 3 ? x_in : x_in.reshaped(input_shape());
+Tensor Conv2D::forward_padded(const Tensor& x, std::vector<double>& xp) const {
+  check_numel(x, input_shape().numel(), "Conv2D: input");
+  const std::size_t ph = in_height_ + 2 * padding_, pw = in_width_ + 2 * padding_;
+  const std::size_t plane = out_height_ * out_width_;
+  xp.assign(in_channels_ * ph * pw, 0.0);
+  const double* src = x.data().data();
+  for (std::size_t c = 0; c < in_channels_; ++c)
+    for (std::size_t r = 0; r < in_height_; ++r, src += in_width_)
+      std::copy(src, src + in_width_, xp.data() + (c * ph + r + padding_) * pw + padding_);
   Tensor y(output_shape());
-  const std::size_t k2 = kernel_ * kernel_;
+  const double* w = weight_.data().data();
   for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-    for (std::size_t orow = 0; orow < out_height_; ++orow) {
-      for (std::size_t ocol = 0; ocol < out_width_; ++ocol) {
-        double acc = bias_[oc];
-        const long base_r = static_cast<long>(orow * stride_) - static_cast<long>(padding_);
-        const long base_c = static_cast<long>(ocol * stride_) - static_cast<long>(padding_);
-        for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-          const std::size_t wbase = (oc * in_channels_ + ic) * k2;
-          for (std::size_t kr = 0; kr < kernel_; ++kr)
-            for (std::size_t kc = 0; kc < kernel_; ++kc)
-              acc += weight_[wbase + kr * kernel_ + kc] *
-                     input_at(x, ic, base_r + static_cast<long>(kr),
-                              base_c + static_cast<long>(kc));
+    double* yplane = y.data().data() + oc * plane;
+    std::fill(yplane, yplane + plane, bias_[oc]);
+    for (std::size_t ic = 0; ic < in_channels_; ++ic)
+      for (std::size_t kr = 0; kr < kernel_; ++kr)
+        for (std::size_t kc = 0; kc < kernel_; ++kc) {
+          const double wv = *w++;
+          for (std::size_t orow = 0; orow < out_height_; ++orow) {
+            const double* xrow = xp.data() + (ic * ph + orow * stride_ + kr) * pw + kc;
+            double* yrow = yplane + orow * out_width_;
+            for (std::size_t ocol = 0; ocol < out_width_; ++ocol)
+              yrow[ocol] += wv * xrow[ocol * stride_];
+          }
         }
-        y.at3(oc, orow, ocol) = acc;
-      }
-    }
   }
   return y;
 }
 
-Tensor Conv2D::backward_input(const Tensor& /*x*/, const Tensor& grad_out_in) const {
-  const Tensor grad_out =
-      grad_out_in.shape().rank() == 3 ? grad_out_in : grad_out_in.reshaped(output_shape());
-  Tensor gx(input_shape());
-  const std::size_t k2 = kernel_ * kernel_;
-  for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-    for (std::size_t orow = 0; orow < out_height_; ++orow) {
-      for (std::size_t ocol = 0; ocol < out_width_; ++ocol) {
-        const double g = grad_out.at3(oc, orow, ocol);
-        if (g == 0.0) continue;
-        const long base_r = static_cast<long>(orow * stride_) - static_cast<long>(padding_);
-        const long base_c = static_cast<long>(ocol * stride_) - static_cast<long>(padding_);
-        for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-          const std::size_t wbase = (oc * in_channels_ + ic) * k2;
-          for (std::size_t kr = 0; kr < kernel_; ++kr) {
-            for (std::size_t kc = 0; kc < kernel_; ++kc) {
-              const long r = base_r + static_cast<long>(kr);
-              const long c = base_c + static_cast<long>(kc);
-              if (r < 0 || c < 0 || r >= static_cast<long>(in_height_) ||
-                  c >= static_cast<long>(in_width_))
-                continue;
-              gx.at3(ic, static_cast<std::size_t>(r), static_cast<std::size_t>(c)) +=
-                  g * weight_[wbase + kr * kernel_ + kc];
-            }
-          }
+Tensor Conv2D::backward_input(const Tensor& /*x*/, const Tensor& grad_out) const {
+  check_numel(grad_out, output_shape().numel(), "Conv2D: gradient");
+  const std::size_t ph = in_height_ + 2 * padding_, pw = in_width_ + 2 * padding_;
+  const std::size_t plane = out_height_ * out_width_, k2 = kernel_ * kernel_;
+  std::vector<double> gp(in_channels_ * ph * pw, 0.0), prod(out_width_);
+  // Taps in descending (kr, kc) order hand every input cell its contributions
+  // in ascending (oc, orow, ocol) order. Products are stored before their
+  // add, so never fused into an FMA: trained weights stay bit-stable.
+  for (std::size_t oc = 0; oc < out_channels_; ++oc)
+    for (std::size_t ic = 0; ic < in_channels_; ++ic)
+      for (std::size_t tap = k2; tap-- > 0;) {
+        const double w = weight_[(oc * in_channels_ + ic) * k2 + tap];
+        for (std::size_t orow = 0; orow < out_height_; ++orow) {
+          const double* grow = grad_out.data().data() + oc * plane + orow * out_width_;
+          double* xrow =
+              gp.data() + (ic * ph + orow * stride_ + tap / kernel_) * pw + tap % kernel_;
+          for (std::size_t ocol = 0; ocol < out_width_; ++ocol) prod[ocol] = grow[ocol] * w;
+          for (std::size_t ocol = 0; ocol < out_width_; ++ocol) xrow[ocol * stride_] += prod[ocol];
         }
       }
+  Tensor gx(input_shape());
+  double* dst = gx.data().data();
+  for (std::size_t c = 0; c < in_channels_; ++c)
+    for (std::size_t r = 0; r < in_height_; ++r, dst += in_width_) {
+      const double* src = gp.data() + (c * ph + r + padding_) * pw + padding_;
+      std::copy(src, src + in_width_, dst);
     }
-  }
   return gx;
+}
+
+Tensor Conv2D::forward(const Tensor& x) const {
+  std::vector<double> xp;
+  return forward_padded(x, xp);
 }
 
 std::vector<ParamRef> Conv2D::params() {
@@ -125,46 +134,42 @@ std::unique_ptr<Layer> Conv2D::clone() const {
 }
 
 Tensor Conv2D::forward_train(const Tensor& x, std::size_t slot) {
-  cached_inputs_[slot] = x.shape().rank() == 3 ? x : x.reshaped(input_shape());
-  return forward(x);
+  return forward_padded(x, cached_padded_[slot]);
 }
 
-Tensor Conv2D::backward_sample(const Tensor& grad_out_in, std::size_t slot) {
-  const Tensor& x = cached_inputs_[slot];
-  const Tensor grad_out =
-      grad_out_in.shape().rank() == 3 ? grad_out_in : grad_out_in.reshaped(output_shape());
-  Tensor gx(input_shape());
-  const std::size_t k2 = kernel_ * kernel_;
-  for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-    for (std::size_t orow = 0; orow < out_height_; ++orow) {
-      for (std::size_t ocol = 0; ocol < out_width_; ++ocol) {
-        const double g = grad_out.at3(oc, orow, ocol);
-        bias_grad_[oc] += g;
-        const long base_r = static_cast<long>(orow * stride_) - static_cast<long>(padding_);
-        const long base_c = static_cast<long>(ocol * stride_) - static_cast<long>(padding_);
-        for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-          const std::size_t wbase = (oc * in_channels_ + ic) * k2;
-          for (std::size_t kr = 0; kr < kernel_; ++kr) {
-            for (std::size_t kc = 0; kc < kernel_; ++kc) {
-              const long r = base_r + static_cast<long>(kr);
-              const long c = base_c + static_cast<long>(kc);
-              if (r < 0 || c < 0 || r >= static_cast<long>(in_height_) ||
-                  c >= static_cast<long>(in_width_))
-                continue;
-              const std::size_t widx = wbase + kr * kernel_ + kc;
-              weight_grad_[widx] +=
-                  g * x.at3(ic, static_cast<std::size_t>(r), static_cast<std::size_t>(c));
-              gx.at3(ic, static_cast<std::size_t>(r), static_cast<std::size_t>(c)) +=
-                  g * weight_[widx];
-            }
-          }
-        }
-      }
+Tensor Conv2D::backward_sample(const Tensor& grad_out, std::size_t slot) {
+  Tensor gx = backward_input(Tensor(), grad_out);  // checks the gradient size
+  const std::size_t ph = in_height_ + 2 * padding_, pw = in_width_ + 2 * padding_;
+  const std::size_t plane = out_height_ * out_width_;
+  const double* xp = cached_padded_[slot].data();
+  const double* g = grad_out.data().data();
+  for (std::size_t oc = 0; oc < out_channels_; ++oc)
+    for (std::size_t i = 0; i < plane; ++i) bias_grad_[oc] += g[oc * plane + i];
+  // Weight gradients: one in-order sum over the output cells per tap, four
+  // taps at a time as independent chains (a short last group repeats its
+  // last tap). Padding cells are zeros, so no bounds branch.
+  const std::size_t taps = weight_.numel(), k2 = kernel_ * kernel_;
+  double* wg = weight_grad_.data().data();
+  for (std::size_t t0 = 0; t0 < taps; t0 += 4) {
+    double acc[4];
+    std::size_t goff[4], xoff[4];
+    for (std::size_t j = 0; j < 4; ++j) {
+      const std::size_t t = std::min(t0 + j, taps - 1), tap = t % k2;
+      acc[j] = wg[t];
+      goff[j] = t / (in_channels_ * k2) * plane;
+      xoff[j] = (t / k2 % in_channels_ * ph + tap / kernel_) * pw + tap % kernel_;
     }
+    for (std::size_t orow = 0, cell = 0; orow < out_height_; ++orow)
+      for (std::size_t ocol = 0; ocol < out_width_; ++ocol, ++cell) {
+        const std::size_t at = orow * stride_ * pw + ocol * stride_;
+        for (std::size_t j = 0; j < 4; ++j)
+          acc[j] = fused(g[goff[j] + cell], xp[xoff[j] + at], acc[j]);
+      }
+    for (std::size_t j = 0; j < 4 && t0 + j < taps; ++j) wg[t0 + j] = acc[j];
   }
   return gx;
 }
 
-void Conv2D::prepare_cache(std::size_t batch_size) { cached_inputs_.resize(batch_size); }
+void Conv2D::prepare_cache(std::size_t batch_size) { cached_padded_.resize(batch_size); }
 
 }  // namespace dpv::nn

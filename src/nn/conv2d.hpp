@@ -3,7 +3,7 @@
 // The convolutional front-end of the direct perception network. Never
 // encoded into MILP: the paper's layer abstraction (Lemma 1) cuts the
 // network after the convolutional stack, so Conv2D only needs forward and
-// training backward.
+// training backward. Kernels and numerics: see docs/ARCHITECTURE.md.
 #pragma once
 
 #include <memory>
@@ -44,7 +44,8 @@ class Conv2D : public Layer {
   void prepare_cache(std::size_t batch_size) override;
 
  private:
-  double input_at(const Tensor& x, std::size_t c, long r, long col) const;
+  /// Forward pass that leaves the zero-padded input in `xp`.
+  Tensor forward_padded(const Tensor& x, std::vector<double>& xp) const;
 
   std::size_t in_channels_, in_height_, in_width_;
   std::size_t out_channels_, out_height_, out_width_;
@@ -53,7 +54,7 @@ class Conv2D : public Layer {
   Tensor bias_;    // [out_ch]
   Tensor weight_grad_;
   Tensor bias_grad_;
-  std::vector<Tensor> cached_inputs_;
+  std::vector<std::vector<double>> cached_padded_;  // per-sample padded inputs
 };
 
 }  // namespace dpv::nn

@@ -41,12 +41,12 @@ Tensor Dense::forward(const Tensor& x) const {
 }
 
 Tensor Dense::backward_input(const Tensor& /*x*/, const Tensor& grad_out) const {
-  check(grad_out.numel() == out_features_, "Dense::backward_input: gradient length mismatch");
+  check_numel(grad_out, out_features_, "Dense::backward_input: gradient");
   Tensor gx(Shape{in_features_});
   for (std::size_t r = 0; r < out_features_; ++r) {
     const double g = grad_out[r];
     if (g == 0.0) continue;
-    for (std::size_t c = 0; c < in_features_; ++c) gx[c] += weight_.at2(r, c) * g;
+    for (std::size_t c = 0; c < in_features_; ++c) gx[c] += weight_[r * in_features_ + c] * g;
   }
   return gx;
 }
@@ -68,15 +68,19 @@ Tensor Dense::forward_train(const Tensor& x, std::size_t slot) {
 }
 
 Tensor Dense::backward_sample(const Tensor& grad_out, std::size_t slot) {
-  const Tensor& x = cached_inputs_[slot];
-  // dW[r][c] += gy[r] * x[c]; db[r] += gy[r]; gx[c] = sum_r W[r][c] * gy[r]
+  check_numel(grad_out, out_features_, "Dense::backward_sample: gradient");
+  const double* x = cached_inputs_[slot].data().data();
+  // dW[r][c] += gy[r] * x[c]; db[r] += gy[r]; gx[c] = sum_r W[r][c] * gy[r].
+  // dW products are stored before their add (never fused into an FMA).
   Tensor gx(Shape{in_features_});
+  std::vector<double> prod(in_features_);
   for (std::size_t r = 0; r < out_features_; ++r) {
     const double g = grad_out[r];
     bias_grad_[r] += g;
+    for (std::size_t c = 0; c < in_features_; ++c) prod[c] = g * x[c];
     for (std::size_t c = 0; c < in_features_; ++c) {
-      weight_grad_.at2(r, c) += g * x[c];
-      gx[c] += weight_.at2(r, c) * g;
+      weight_grad_[r * in_features_ + c] += prod[c];
+      gx[c] += weight_[r * in_features_ + c] * g;
     }
   }
   return gx;

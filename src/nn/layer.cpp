@@ -30,6 +30,12 @@ std::string layer_kind_name(LayerKind kind) {
   throw InternalError("layer_kind_name: unknown kind");
 }
 
+void check_numel(const Tensor& t, std::size_t numel, const char* where) {
+  if (t.numel() != numel)
+    throw ContractViolation(std::string(where) + " has " + std::to_string(t.numel()) +
+                            " values, expected " + std::to_string(numel));
+}
+
 std::vector<Tensor> Layer::forward_batch(const std::vector<Tensor>& xs, bool training) {
   std::vector<Tensor> ys;
   ys.reserve(xs.size());
@@ -38,11 +44,15 @@ std::vector<Tensor> Layer::forward_batch(const std::vector<Tensor>& xs, bool tra
     return ys;
   }
   prepare_cache(xs.size());
+  train_batch_ = xs.size();
   for (std::size_t i = 0; i < xs.size(); ++i) ys.push_back(forward_train(xs[i], i));
   return ys;
 }
 
 std::vector<Tensor> Layer::backward_batch(const std::vector<Tensor>& grad_out) {
+  check(grad_out.size() == train_batch_,
+        layer_kind_name(kind()) + ": gradient batch of " + std::to_string(grad_out.size()) +
+            " does not match the cached forward batch of " + std::to_string(train_batch_));
   std::vector<Tensor> gxs;
   gxs.reserve(grad_out.size());
   for (std::size_t i = 0; i < grad_out.size(); ++i) gxs.push_back(backward_sample(grad_out[i], i));

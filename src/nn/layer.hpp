@@ -43,6 +43,9 @@ struct ParamRef {
   Tensor* grad = nullptr;
 };
 
+/// Throws ContractViolation naming `where` unless `t` holds `numel` values.
+void check_numel(const Tensor& t, std::size_t numel, const char* where);
+
 /// Abstract feed-forward layer.
 class Layer {
  public:
@@ -61,6 +64,7 @@ class Layer {
 
   /// Batch backward: consumes dL/dy per sample, returns dL/dx per sample,
   /// and accumulates parameter gradients (callers zero them per step).
+  /// The batch must match the last training-mode `forward_batch`.
   virtual std::vector<Tensor> backward_batch(const std::vector<Tensor>& grad_out);
 
   /// Stateless vector-Jacobian product: gradient of a scalar objective
@@ -89,6 +93,9 @@ class Layer {
 
   /// Resizes per-sample caches for a batch of the given size.
   virtual void prepare_cache(std::size_t batch_size) = 0;
+
+ private:
+  std::size_t train_batch_ = 0;  // samples cached by the last training forward
 };
 
 }  // namespace dpv::nn

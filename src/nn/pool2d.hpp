@@ -42,6 +42,10 @@ class MaxPool2D : public Pool2D {
   void prepare_cache(std::size_t batch_size) override;
 
  private:
+  /// Window maxima and their flat input indices (ties: first window cell).
+  Tensor pool(const Tensor& x, std::vector<std::size_t>& argmax) const;
+  Tensor route(const Tensor& grad_out, const std::vector<std::size_t>& argmax) const;
+
   // Flat input index of the max cell for every output cell, per sample.
   std::vector<std::vector<std::size_t>> cached_argmax_;
 };

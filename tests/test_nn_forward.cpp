@@ -136,6 +136,31 @@ TEST(Flatten, ReshapesOnly) {
   EXPECT_DOUBLE_EQ(y[7], 9.0);
 }
 
+TEST(Backward, DenseRejectsWrongSizeGradient) {
+  Dense layer(3, 2);
+  layer.forward_batch({Tensor::vector1d({1, 2, 3})}, /*training=*/true);
+  EXPECT_THROW(layer.backward_batch({Tensor::vector1d({1, 2, 3})}), ContractViolation);
+  EXPECT_THROW(layer.backward_batch({Tensor::vector1d({1})}), ContractViolation);
+}
+
+TEST(Backward, ActivationRejectsWrongSizeGradient) {
+  ReLU relu(Shape{3});
+  relu.forward_batch({Tensor::vector1d({-1, 0, 1})}, /*training=*/true);
+  EXPECT_THROW(relu.backward_batch({Tensor::vector1d({1, 1})}), ContractViolation);
+  EXPECT_THROW(relu.backward_batch({Tensor::vector1d({1, 1, 1, 1})}), ContractViolation);
+}
+
+TEST(Backward, RejectsGradientBatchOtherThanCachedForward) {
+  Dense layer(2, 2);
+  // No training forward yet: nothing is cached to differentiate.
+  EXPECT_THROW(layer.backward_batch({Tensor::vector1d({1, 1})}), ContractViolation);
+  layer.forward_batch({Tensor::vector1d({1, 2}), Tensor::vector1d({3, 4})}, true);
+  EXPECT_THROW(layer.backward_batch({Tensor::vector1d({1, 1})}), ContractViolation);
+  EXPECT_THROW(layer.backward_batch(std::vector<Tensor>(3, Tensor::vector1d({1, 1}))),
+               ContractViolation);
+  EXPECT_EQ(layer.backward_batch(std::vector<Tensor>(2, Tensor::vector1d({1, 1}))).size(), 2u);
+}
+
 Network make_two_layer_net() {
   Network net;
   auto d1 = std::make_unique<Dense>(2, 2);

@@ -112,6 +112,32 @@ nn::Network build_leaky(Rng& rng) {
   return net;
 }
 
+nn::Network build_conv_pad2(Rng& rng) {
+  nn::Network net;
+  auto conv = std::make_unique<nn::Conv2D>(2, 5, 4, 2, 3, 1, 2);  // -> 2 x 7 x 6
+  conv->init_he(rng);
+  net.add(std::move(conv));
+  net.add(std::make_unique<nn::Flatten>(Shape{2, 7, 6}));
+  auto d = std::make_unique<nn::Dense>(84, 2);
+  d->init_he(rng);
+  net.add(std::move(d));
+  return net;
+}
+
+nn::Network build_conv_avgpool(Rng& rng) {
+  nn::Network net;
+  auto conv = std::make_unique<nn::Conv2D>(1, 4, 6, 2, 3, 1, 1);
+  conv->init_he(rng);
+  net.add(std::move(conv));
+  net.add(std::make_unique<nn::Tanh>(Shape{2, 4, 6}));
+  net.add(std::make_unique<nn::AvgPool2D>(2, 4, 6, 2));
+  net.add(std::make_unique<nn::Flatten>(Shape{2, 2, 3}));
+  auto d = std::make_unique<nn::Dense>(12, 2);
+  d->init_he(rng);
+  net.add(std::move(d));
+  return net;
+}
+
 const GradCase kCases[] = {
     {"dense", &build_dense, Shape{5}},
     {"dense_relu_dense", &build_dense_relu_dense, Shape{4}},
@@ -120,6 +146,8 @@ const GradCase kCases[] = {
     {"conv_stride", &build_conv_stride, Shape{2, 4, 6}},
     {"avgpool", &build_avgpool, Shape{1, 4, 4}},
     {"leaky_relu", &build_leaky, Shape{4}},
+    {"conv_pad2", &build_conv_pad2, Shape{2, 5, 4}},
+    {"conv_avgpool", &build_conv_avgpool, Shape{1, 4, 6}},
 };
 
 class GradCheckSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -149,7 +177,7 @@ TEST_P(GradCheckSweep, InputGradientsMatchNumerical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLayerKinds, GradCheckSweep,
-                         ::testing::Combine(::testing::Range(0, 7), ::testing::Range(0, 3)));
+                         ::testing::Combine(::testing::Range(0, 9), ::testing::Range(0, 3)));
 
 TEST(GradCheck, BatchNormGradientsThroughBatchStatistics) {
   // BatchNorm couples samples; check its analytic backward by perturbing
