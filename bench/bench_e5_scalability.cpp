@@ -15,11 +15,10 @@
 //
 // Machine-readable results land in BENCH_e5.json (cwd) so the perf
 // trajectory is tracked across PRs; the LP-core axis writes
-// BENCH_simplex.json (a cumulative config chain from the product-form /
-// Dantzig / cold-install baseline through basis reuse, Forrest–Tomlin
-// updates, Devex pricing, SIMD kernels and batched sibling re-solves,
-// with per-optimization deltas at verdict parity — compared against
-// bench/baselines/BENCH_simplex.json by tools/bench_compare.py), the
+// BENCH_simplex.json (the production LP core against the independent
+// dense-tableau oracle on a heavier proof battery, at verdict parity —
+// compared against bench/baselines/BENCH_simplex.json by
+// tools/bench_compare.py), the
 // cutting-plane axis writes BENCH_cuts.json (B&B node counts with the
 // cut engine off / root / root+local at verdict parity), the
 // search-strategy axis writes BENCH_search.json (nodes-to-proof, steal
@@ -130,7 +129,6 @@ std::vector<Query> make_query_set() {
 verify::VerificationResult verify_tail(
     const Query& query, solver::LpBackendKind backend, std::size_t threads,
     std::size_t cut_rounds = 0, bool local_cuts = false,
-    lp::FactorizationKind factorization = lp::FactorizationKind::kSparseLu,
     const milp::search::SearchOptions& search = {}) {
   verify::VerificationQuery vq;
   vq.network = &query.net;
@@ -145,7 +143,6 @@ verify::VerificationResult verify_tail(
   options.milp.threads = threads;
   options.milp.cuts.root_rounds = cut_rounds;
   options.milp.cuts.local = local_cuts;
-  options.milp.lp_options.factorization = factorization;
   options.milp.search = search;
   return verify::TailVerifier(options).verify(vq);
 }
@@ -328,30 +325,23 @@ void print_cuts_report(const std::vector<Query>& queries) {
 }
 
 // --------------------------------------------------------------------
-// LP-core axis: the same SAFE-proof battery through a *cumulative*
-// configuration chain, so each rung isolates one optimization's delta
-// against the rung below it:
-//   dense-inverse   — the O(m²)-per-pivot explicit-inverse oracle
-//   pr5-baseline    — sparse LU + product-form etas + Dantzig pricing,
-//                     cold basis installs, no batching, scalar kernels
-//                     (the state of the LP core before this PR)
-//   +basis-reuse    — matching-basis installs skip refactorization
-//   +ft             — Forrest–Tomlin U-updates replace the eta file
-//   +incr-d         — incremental reduced costs replace the
-//                     per-iteration duals BTRAN + lazy pricing dots
-//   +devex          — Devex reference-weight dual pricing
-//   +simd           — AVX2 kernels on (the shipped default)
-//   +batch          — batched sibling re-solves in branch & bound
-// The headline is widest-tail wall of pr5-baseline vs +simd (the
-// Devex+FT+SIMD core the ISSUE targets); +batch is reported on top.
+// LP-core axis: the same SAFE-proof battery through the production LP
+// core (the warm-started revised simplex: sparse LU with Forrest–Tomlin
+// updates, Devex pricing, SIMD kernels, batched sibling re-solves) and
+// through the dense-tableau oracle (lp::SimplexSolver
+// behind LpBackendKind::kDenseTableau: cold two-phase solves on an
+// explicit tableau). The oracle shares no factorization, pricing or
+// SIMD code with the production path, so a regression in any of those
+// moves the headline ratio instead of cancelling out of it, and the
+// verdict check is a genuine differential test of the production core.
 
 /// The LP-core axis uses a heavier battery than the scalability table:
-/// the optimizations it isolates (update density, pricing, SIMD width)
-/// only pay off once the basis is large enough that pivot kernels — not
-/// encoding and node bookkeeping — dominate the wall. Queries that
-/// exhaust the shared node budget print UNKNOWN on every rung, which
-/// the parity check treats as compatible; the timing comparison is then
-/// a fixed-node-budget per-pivot cost measurement, which is exactly the
+/// the production core's advantages (update density, pricing, SIMD
+/// width) only pay off once the basis is large enough that pivot
+/// kernels — not encoding and node bookkeeping — dominate the wall.
+/// Queries that exhaust the shared node budget print UNKNOWN, which the
+/// parity check treats as compatible; the timing comparison is then a
+/// fixed-node-budget per-pivot cost measurement, which is exactly the
 /// quantity this axis exists to track.
 std::vector<Query> make_lp_core_query_set() {
   std::vector<Query> queries;
@@ -369,32 +359,13 @@ std::vector<Query> make_lp_core_query_set() {
   return queries;
 }
 
-struct LpCoreConfig {
-  const char* name;
-  lp::FactorizationKind factorization = lp::FactorizationKind::kSparseLu;
-  lp::BasisUpdateKind update = lp::BasisUpdateKind::kProductFormEta;
-  lp::PricingRule pricing = lp::PricingRule::kDantzig;
-  bool reuse_basis = false;
-  bool incremental_d = false;
-  bool batch_siblings = false;
-  bool force_scalar = true;
-};
-
 struct SimplexSweep {
   std::string config;
   double wall_seconds = 0.0;
+  double widest_seconds = 0.0;  ///< wall on the widest tail of the battery
   std::size_t nodes = 0;
   std::size_t pivots = 0;  ///< simplex iterations across the battery
-  std::size_t factorizations = 0;
-  std::size_t updates = 0;
-  std::size_t ft_updates = 0;
-  std::size_t eta_updates = 0;
-  std::size_t pricing_resets = 0;
-  std::size_t sibling_batches = 0;
-  double avg_eta_nnz = 0.0;
-  double factor_seconds = 0.0;
-  double pivot_seconds = 0.0;
-  double widest_seconds = 0.0;  ///< wall on the widest tail of the battery
+  solver::SolverStats stats;
   std::string verdicts;
 };
 
@@ -407,12 +378,11 @@ std::size_t widest_query_index(const std::vector<Query>& queries) {
   return widest;
 }
 
-/// One query of the LP-core battery under `config`; returns its wall
-/// seconds. The caller owns the simd force-scalar toggle.
-double run_lp_core_query(const std::vector<Query>& queries, std::size_t i,
-                         const LpCoreConfig& config,
-                         verify::VerificationResult& r) {
-  const auto query_start = std::chrono::steady_clock::now();
+/// Verifies LP-core battery entry `i` on `backend` (default options
+/// otherwise) and folds its counters, verdict and wall into `sweep`.
+void run_simplex_query(const std::vector<Query>& queries, std::size_t i,
+                       solver::LpBackendKind backend, SimplexSweep& sweep) {
+  const auto start = std::chrono::steady_clock::now();
   verify::VerificationQuery vq;
   vq.network = &queries[i].net;
   vq.attach_layer = 0;
@@ -420,71 +390,31 @@ double run_lp_core_query(const std::vector<Query>& queries, std::size_t i,
   vq.risk.output_at_least(0, 2, queries[i].threshold);
   verify::TailVerifierOptions options;
   options.milp.max_nodes = 4000;
-  options.milp.backend = solver::LpBackendKind::kRevisedBounded;
+  options.milp.backend = backend;
   options.milp.threads = 1;
-  options.milp.lp_options.factorization = config.factorization;
-  options.milp.lp_options.basis_update = config.update;
-  options.milp.lp_options.pricing = config.pricing;
-  options.milp.lp_options.reuse_matching_basis = config.reuse_basis;
-  options.milp.lp_options.incremental_reduced_costs = config.incremental_d;
-  options.milp.batch_sibling_solves = config.batch_siblings;
-  r = verify::TailVerifier(options).verify(vq);
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       query_start)
-      .count();
+  const verify::VerificationResult r = verify::TailVerifier(options).verify(vq);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  sweep.wall_seconds += seconds;
+  if (i == widest_query_index(queries)) sweep.widest_seconds = seconds;
+  sweep.nodes += r.milp_nodes;
+  sweep.pivots += r.lp_iterations;
+  sweep.stats.merge(r.solver_stats);
+  if (!sweep.verdicts.empty()) sweep.verdicts += ',';
+  sweep.verdicts += verify::verdict_name(r.verdict);
 }
 
-SimplexSweep run_simplex_sweep(const std::vector<Query>& queries,
-                               const LpCoreConfig& config) {
+SimplexSweep run_simplex_pass(const std::vector<Query>& queries,
+                              solver::LpBackendKind backend, const char* config) {
   SimplexSweep sweep;
-  sweep.config = config.name;
-  const std::size_t widest = widest_query_index(queries);
-  simd::set_force_scalar(config.force_scalar);
-  solver::SolverStats stats;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    verify::VerificationResult r;
-    const double seconds = run_lp_core_query(queries, i, config, r);
-    if (i == widest) sweep.widest_seconds = seconds;
-    sweep.nodes += r.milp_nodes;
-    sweep.pivots += r.lp_iterations;
-    stats.merge(r.solver_stats);
-    if (!sweep.verdicts.empty()) sweep.verdicts += ',';
-    sweep.verdicts += verify::verdict_name(r.verdict);
-  }
-  sweep.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  // Wall times feed the headline, so single-shot noise (scheduler
-  // interference on a shared box) must not swing them: a second
-  // timing-only pass over the battery makes both walls best-of-two.
-  // Deterministic solver ⇒ the rerun is byte-identical work; its
-  // counters are deliberately NOT merged (the counter columns describe
-  // exactly one pass over the battery).
-  const auto second_pass = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    verify::VerificationResult r;
-    const double seconds = run_lp_core_query(queries, i, config, r);
-    if (i == widest) sweep.widest_seconds = std::min(sweep.widest_seconds, seconds);
-  }
-  sweep.wall_seconds = std::min(
-      sweep.wall_seconds,
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - second_pass)
-          .count());
-  simd::set_force_scalar(false);
-  sweep.factorizations = stats.basis_factorizations;
-  sweep.updates = stats.basis_updates;
-  sweep.ft_updates = stats.ft_updates;
-  sweep.eta_updates = stats.eta_updates;
-  sweep.pricing_resets = stats.pricing_resets;
-  sweep.sibling_batches = stats.sibling_batches;
-  sweep.avg_eta_nnz = stats.avg_eta_nonzeros();
-  sweep.factor_seconds = stats.factor_seconds;
-  sweep.pivot_seconds = stats.pivot_seconds;
+  sweep.config = config;
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    run_simplex_query(queries, i, backend, sweep);
   return sweep;
 }
 
-void emit_simplex_json(const std::vector<SimplexSweep>& sweeps, std::size_t base,
-                       std::size_t head, bool parity) {
+void emit_simplex_json(const SimplexSweep& oracle, const SimplexSweep& production,
+                       bool parity) {
   std::FILE* f = std::fopen("BENCH_simplex.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "BENCH_simplex.json: cannot open for writing\n");
@@ -493,37 +423,31 @@ void emit_simplex_json(const std::vector<SimplexSweep>& sweeps, std::size_t base
   std::fprintf(f, "{\n  \"bench\": \"e5_lp_core\",\n  \"simd_compiled\": %s,\n",
                simd::compiled_with_avx2() ? "true" : "false");
   std::fprintf(f, "  \"configs\": [\n");
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const SimplexSweep& s = sweeps[i];
-    // step_speedup_widest: this rung's widest-tail gain over the rung
-    // below it — the per-optimization delta (1.0 for the first rung).
-    const double step =
-        i > 0 && s.widest_seconds > 0
-            ? sweeps[i - 1].widest_seconds / s.widest_seconds
-            : 1.0;
+  const SimplexSweep* sweeps[2] = {&oracle, &production};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const SimplexSweep& s = *sweeps[i];
     std::fprintf(f,
                  "    {\"config\": \"%s\", \"wall_seconds\": %.6f, "
-                 "\"widest_tail_seconds\": %.6f, \"step_speedup_widest\": %.3f, "
-                 "\"nodes\": %zu, \"pivots\": %zu, "
-                 "\"refactorizations\": %zu, \"updates\": %zu, \"ft_updates\": %zu, "
-                 "\"eta_updates\": %zu, \"pricing_resets\": %zu, "
-                 "\"sibling_batches\": %zu, \"avg_eta_nnz\": %.2f, "
-                 "\"factor_seconds\": %.6f, \"pivot_seconds\": %.6f, "
-                 "\"verdicts\": \"%s\"}%s\n",
-                 s.config.c_str(), s.wall_seconds, s.widest_seconds, step, s.nodes,
-                 s.pivots, s.factorizations, s.updates, s.ft_updates, s.eta_updates,
-                 s.pricing_resets, s.sibling_batches, s.avg_eta_nnz, s.factor_seconds,
-                 s.pivot_seconds, s.verdicts.c_str(), i + 1 < sweeps.size() ? "," : "");
+                 "\"widest_tail_seconds\": %.6f, \"nodes\": %zu, \"pivots\": %zu, "
+                 "\"refactorizations\": %zu, \"updates\": %zu, "
+                 "\"pricing_resets\": %zu, \"sibling_batches\": %zu, "
+                 "\"avg_eta_nnz\": %.2f, \"factor_seconds\": %.6f, "
+                 "\"pivot_seconds\": %.6f, \"verdicts\": \"%s\"}%s\n",
+                 s.config.c_str(), s.wall_seconds, s.widest_seconds, s.nodes, s.pivots,
+                 s.stats.basis_factorizations, s.stats.basis_updates,
+                 s.stats.pricing_resets, s.stats.sibling_batches,
+                 s.stats.avg_eta_nonzeros(), s.stats.factor_seconds,
+                 s.stats.pivot_seconds, s.verdicts.c_str(), i == 0 ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"headline\": {\"baseline\": \"%s\", \"optimized\": \"%s\", ",
-               sweeps[base].config.c_str(), sweeps[head].config.c_str());
+               oracle.config.c_str(), production.config.c_str());
   std::fprintf(f, "\"speedup_battery\": %.3f, ",
-               sweeps[head].wall_seconds > 0
-                   ? sweeps[base].wall_seconds / sweeps[head].wall_seconds
+               production.wall_seconds > 0
+                   ? oracle.wall_seconds / production.wall_seconds
                    : 0.0);
   std::fprintf(f, "\"speedup_widest_tail\": %.3f},\n",
-               sweeps[head].widest_seconds > 0
-                   ? sweeps[base].widest_seconds / sweeps[head].widest_seconds
+               production.widest_seconds > 0
+                   ? oracle.widest_seconds / production.widest_seconds
                    : 0.0);
   std::fprintf(f, "  \"verdict_parity\": %s\n}\n", parity ? "true" : "false");
   std::fclose(f);
@@ -532,85 +456,47 @@ void emit_simplex_json(const std::vector<SimplexSweep>& sweeps, std::size_t base
 
 void print_simplex_report() {
   const std::vector<Query> queries = make_lp_core_query_set();
-  std::printf("\n=== E5: LP-core axis (heavier proof battery, cumulative config chain) ===\n");
-  std::printf("%14s | %8s | %8s | %8s | %8s | %8s | %6s | %8s | %8s\n", "config",
-              "wall s", "widest s", "pivots", "refactor", "updates", "resets",
-              "batches", "step-x");
-  std::printf("---------------+----------+----------+----------+----------+----------+--------+----------+---------\n");
-  std::vector<LpCoreConfig> chain;
-  chain.push_back({"dense-inverse", lp::FactorizationKind::kDenseInverse,
-                   lp::BasisUpdateKind::kProductFormEta, lp::PricingRule::kDantzig,
-                   false, false, false, true});
-  chain.push_back({"pr5-baseline", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kProductFormEta, lp::PricingRule::kDantzig,
-                   false, false, false, true});
-  chain.push_back({"+basis-reuse", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kProductFormEta, lp::PricingRule::kDantzig,
-                   true, false, false, true});
-  chain.push_back({"+ft", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kForrestTomlin, lp::PricingRule::kDantzig,
-                   true, false, false, true});
-  chain.push_back({"+incr-d", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kForrestTomlin, lp::PricingRule::kDantzig,
-                   true, true, false, true});
-  chain.push_back({"+devex", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kForrestTomlin, lp::PricingRule::kDevex,
-                   true, true, false, true});
-  chain.push_back({"+simd", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kForrestTomlin, lp::PricingRule::kDevex,
-                   true, true, false, false});
-  chain.push_back({"+batch", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kForrestTomlin, lp::PricingRule::kDevex,
-                   true, true, true, false});
-  std::vector<SimplexSweep> sweeps;
-  std::vector<std::string> all_verdicts;
-  for (const LpCoreConfig& config : chain) {
-    sweeps.push_back(run_simplex_sweep(queries, config));
-    all_verdicts.push_back(sweeps.back().verdicts);
+  std::printf("\n=== E5: LP-core axis (heavier proof battery, production vs dense-tableau oracle) ===\n");
+  // The oracle (~45x slower) runs once, to bound the bench's wall time.
+  // Production is where scheduler interference swings the ratio (~1 s a
+  // pass), so after each oracle query one more production pass re-times
+  // the battery and production keeps its best walls: its samples span
+  // the whole oracle window, so a slow spell has to hit both sides, and
+  // interference only ever adds time. The solver is deterministic, so
+  // the reruns are byte-identical work and the counters describe
+  // exactly one pass.
+  SimplexSweep production =
+      run_simplex_pass(queries, solver::LpBackendKind::kRevisedBounded, "production");
+  SimplexSweep oracle;
+  oracle.config = "dense-tableau";
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    run_simplex_query(queries, i, solver::LpBackendKind::kDenseTableau, oracle);
+    const SimplexSweep again =
+        run_simplex_pass(queries, solver::LpBackendKind::kRevisedBounded, "production");
+    production.wall_seconds = std::min(production.wall_seconds, again.wall_seconds);
+    production.widest_seconds = std::min(production.widest_seconds, again.widest_seconds);
   }
-  const bool parity = decided_verdicts_agree(all_verdicts);
-  const std::size_t base = 1;                 // pr5-baseline
-  const std::size_t head = sweeps.size() - 2; // +simd (the shipped LP core)
-  // Interleaved headline duel: the headline ratio compares two sweeps
-  // timed minutes apart, so a load spike during either one skews it.
-  // Re-time just the headline pair on the widest query back-to-back,
-  // alternating sides for three rounds and keeping each side's best —
-  // both rungs see the same machine conditions, and min-of-N discards
-  // the interference that only ever adds time.
-  const std::size_t widest = widest_query_index(queries);
-  for (int round = 0; round < 3; ++round) {
-    for (const std::size_t side : {base, head}) {
-      verify::VerificationResult r;
-      simd::set_force_scalar(chain[side].force_scalar);
-      sweeps[side].widest_seconds =
-          std::min(sweeps[side].widest_seconds,
-                   run_lp_core_query(queries, widest, chain[side], r));
-    }
-  }
-  simd::set_force_scalar(false);
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const SimplexSweep& s = sweeps[i];
-    const double step = i > 0 && s.widest_seconds > 0
-                            ? sweeps[i - 1].widest_seconds / s.widest_seconds
-                            : 1.0;
-    std::printf("%14s | %8.3f | %8.3f | %8zu | %8zu | %8zu | %6zu | %8zu | %7.2fx\n",
-                s.config.c_str(), s.wall_seconds, s.widest_seconds, s.pivots,
-                s.factorizations, s.updates, s.pricing_resets, s.sibling_batches, step);
-  }
-  std::printf("verdict compatibility across the config chain (UNKNOWN = budget): %s\n",
+  const bool parity = decided_verdicts_agree({oracle.verdicts, production.verdicts});
+  std::printf("%14s | %8s | %8s | %8s | %8s | %8s | %8s | %6s | %8s\n", "config",
+              "wall s", "widest s", "nodes", "pivots", "refactor", "updates", "resets",
+              "batches");
+  std::printf("---------------+----------+----------+----------+----------+----------+----------+--------+---------\n");
+  for (const SimplexSweep* s : {&oracle, &production})
+    std::printf("%14s | %8.3f | %8.3f | %8zu | %8zu | %8zu | %8zu | %6zu | %8zu\n",
+                s->config.c_str(), s->wall_seconds, s->widest_seconds, s->nodes,
+                s->pivots, s->stats.basis_factorizations, s->stats.basis_updates,
+                s->stats.pricing_resets, s->stats.sibling_batches);
+  std::printf("verdict compatibility, production vs oracle (UNKNOWN = budget): %s\n",
               parity ? "OK" : "CONFLICT");
-  std::printf("headline: %s -> %s widest tail %.3fs -> %.3fs (%.2fx), battery %.2fx; "
-              "+batch widest %.3fs\n",
-              sweeps[base].config.c_str(), sweeps[head].config.c_str(),
-              sweeps[base].widest_seconds, sweeps[head].widest_seconds,
-              sweeps[head].widest_seconds > 0
-                  ? sweeps[base].widest_seconds / sweeps[head].widest_seconds
+  std::printf("headline: %s -> %s widest tail %.3fs -> %.3fs (%.2fx), battery %.2fx\n",
+              oracle.config.c_str(), production.config.c_str(), oracle.widest_seconds,
+              production.widest_seconds,
+              production.widest_seconds > 0
+                  ? oracle.widest_seconds / production.widest_seconds
                   : 0.0,
-              sweeps[head].wall_seconds > 0
-                  ? sweeps[base].wall_seconds / sweeps[head].wall_seconds
-                  : 0.0,
-              sweeps.back().widest_seconds);
-  emit_simplex_json(sweeps, base, head, parity);
+              production.wall_seconds > 0 ? oracle.wall_seconds / production.wall_seconds
+                                          : 0.0);
+  emit_simplex_json(oracle, production, parity);
 }
 
 // --------------------------------------------------------------------
@@ -655,7 +541,7 @@ SearchSweep run_search_sweep(const std::vector<Query>& queries, const char* conf
   for (const Query& query : queries) {
     const verify::VerificationResult r =
         verify_tail(query, solver::LpBackendKind::kRevisedBounded, threads, 0, false,
-                    lp::FactorizationKind::kSparseLu, search);
+                    search);
     sweep.nodes += r.milp_nodes;
     sweep.lp_iterations += r.lp_iterations;
     sweep.steals += r.solver_stats.nodes_stolen;

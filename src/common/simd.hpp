@@ -1,10 +1,10 @@
 // Small SIMD dispatch layer for the numeric hot loops (FTRAN/BTRAN,
-// dense-inverse row operations, zonotope generator-matrix affine maps).
+// dual-simplex pricing, zonotope generator-matrix affine maps).
 //
 // Design rules:
 //   * The scalar fallback is ALWAYS compiled and reachable at runtime via
-//     `set_force_scalar(true)`, so differential tests and the bench can
-//     A/B the vector and scalar paths inside one process. Compile-time
+//     `set_force_scalar(true)`, so differential tests can A/B the vector
+//     and scalar paths inside one process. Compile-time
 //     dispatch alone cannot produce that in-process comparison.
 //   * Vector bodies are guarded by __AVX2__ (plus FMA where used); when
 //     the translation unit is built without those flags the dispatchers
@@ -40,8 +40,8 @@ inline std::atomic<bool>& force_scalar_flag() {
 }  // namespace detail
 
 /// When true every dispatcher below takes its scalar body, regardless of
-/// how the binary was compiled. Used by the differential tests and by the
-/// bench's per-optimization sweep to isolate the SIMD contribution.
+/// how the binary was compiled. Used by the differential tests to compare
+/// the vector bodies against the scalar ones.
 inline void set_force_scalar(bool value) {
   detail::force_scalar_flag().store(value, std::memory_order_relaxed);
 }
@@ -50,7 +50,7 @@ inline bool force_scalar() {
 }
 
 /// True when the binary carries AVX2 bodies (i.e. the toggle can change
-/// anything at all). The bench records this next to its SIMD axis.
+/// anything at all). The LP-core bench records this in its JSON.
 constexpr bool compiled_with_avx2() {
 #if defined(__AVX2__)
   return true;
@@ -107,23 +107,6 @@ inline void axpy(double alpha, const double* x, double* y, std::size_t n) {
   }
 #endif
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-/// x[i] = alpha * x[i] + beta (the zonotope scale-shift primitive; pass
-/// beta = 0 for a pure scale).
-inline void scale_shift(double* x, double alpha, double beta, std::size_t n) {
-#if defined(__AVX2__) && defined(__FMA__)
-  if (!force_scalar() && n >= 4) {
-    const __m256d va = _mm256_set1_pd(alpha);
-    const __m256d vb = _mm256_set1_pd(beta);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-      _mm256_storeu_pd(x + i, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i), vb));
-    for (; i < n; ++i) x[i] = alpha * x[i] + beta;
-    return;
-  }
-#endif
-  for (std::size_t i = 0; i < n; ++i) x[i] = alpha * x[i] + beta;
 }
 
 /// x[i] *= s[i] — elementwise (Hadamard) product; the zonotope
@@ -183,9 +166,9 @@ inline void max_square_scaled(const double* w, double c, double* g,
 
 /// Dual-simplex leaving-row scan: over rows i with xb[i] outside
 /// [lo[i], up[i]] by more than `tol`, returns the index maximizing the
-/// violation v = max(lo[i] - xb[i], xb[i] - up[i]) — scored as v (pass
-/// weights = nullptr, Dantzig) or v² / weights[i] (Devex reference
-/// weights) — or `n` when no row is violated. Ties keep the smallest
+/// violation v = max(lo[i] - xb[i], xb[i] - up[i]) scored as
+/// v² / weights[i] (Devex reference weights, all positive) — or `n` when
+/// no row is violated. Ties keep the smallest
 /// index, which is exactly what the scalar first-strict-win loop
 /// produces, so the vector and scalar paths pick identical rows (the
 /// per-lane running max uses the same strict > and the horizontal
@@ -207,10 +190,8 @@ inline std::size_t argmax_violation(const double* xb, const double* lo,
           _mm256_max_pd(_mm256_sub_pd(_mm256_loadu_pd(lo + i), vxb),
                         _mm256_sub_pd(vxb, _mm256_loadu_pd(up + i)));
       const __m256d valid = _mm256_cmp_pd(v, vtol, _CMP_GT_OQ);
-      __m256d score = weights == nullptr
-                          ? v
-                          : _mm256_div_pd(_mm256_mul_pd(v, v),
-                                          _mm256_loadu_pd(weights + i));
+      __m256d score =
+          _mm256_div_pd(_mm256_mul_pd(v, v), _mm256_loadu_pd(weights + i));
       // Invalid lanes become 0.0 and can never beat the strict > below
       // (valid scores are positive: v > tol >= 0, weights positive).
       score = _mm256_and_pd(score, valid);
@@ -236,7 +217,7 @@ inline std::size_t argmax_violation(const double* xb, const double* lo,
     for (; i < n; ++i) {  // scalar tail, strict > keeps earlier winners
       const double v = std::max(lo[i] - xb[i], xb[i] - up[i]);
       if (v <= tol) continue;
-      const double score = weights == nullptr ? v : v * v / weights[i];
+      const double score = v * v / weights[i];
       if (score > best_score) {
         best_score = score;
         best_index = static_cast<std::int64_t>(i);
@@ -250,7 +231,7 @@ inline std::size_t argmax_violation(const double* xb, const double* lo,
   for (std::size_t i = 0; i < n; ++i) {
     const double v = std::max(lo[i] - xb[i], xb[i] - up[i]);
     if (v <= tol) continue;
-    const double score = weights == nullptr ? v : v * v / weights[i];
+    const double score = v * v / weights[i];
     if (score > best_score) {
       best_score = score;
       best_index = i;

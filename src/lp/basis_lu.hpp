@@ -1,6 +1,5 @@
-// Sparse LU basis factorization with Forrest–Tomlin (default) or
-// product-form eta updates — the factorization engine behind the revised
-// simplex.
+// Sparse LU basis factorization with Forrest–Tomlin updates — the
+// factorization engine behind the revised simplex.
 //
 // Verification bases are overwhelmingly sparse: big-M ReLU rows touch a
 // handful of neurons, characterizer and cut rows a few more, and most
@@ -9,30 +8,19 @@
 // P B Q = L U with Markowitz-style pivoting (free singleton
 // triangularization first, then a (r-1)(c-1) fill-minimizing search over
 // the residual bump with threshold stability), and absorbs simplex
-// pivots with one of two update schemes:
+// pivots with Forrest–Tomlin updates: the entering column's spike
+// v = U w replaces column r of U, the now non-triangular row is moved to
+// the back of the pivot sequence and eliminated against the rows below
+// it, and the elimination multipliers are recorded as a short row-eta
+// applied between L and U in every later solve. U stays genuinely
+// triangular, so a long pivot run costs O(nnz(U)) per update instead of
+// densifying an eta file — the property that keeps deep branch-and-bound
+// dives at hardware speed.
 //
-//   * Forrest–Tomlin (kForrestTomlin, the default): the entering
-//     column's spike v = U w replaces column r of U, the now
-//     non-triangular row is moved to the back of the pivot sequence and
-//     eliminated against the rows below it, and the elimination
-//     multipliers are recorded as a short row-eta applied between L and
-//     U in every later solve. U stays genuinely triangular, so a long
-//     pivot run costs O(nnz(U)) per update instead of densifying an
-//     eta file — the property that keeps deep branch-and-bound dives at
-//     hardware speed.
-//   * Product-form etas (kProductFormEta, kept for differential tests
-//     and as a conservative fallback):
-//       B_k^{-1} = E_k · ... · E_1 · B_0^{-1},  E_j an identity except
-//       for one column built from the FTRAN'd entering column.
-//
-// The two schemes never mix within one factorization; the kind is
-// latched by factorize() from set_update_kind().
-//
-// FTRAN (B x = b) applies the recorded L row-operations, then (FT mode)
-// the Forrest–Tomlin row-etas oldest-first, then back-substitutes
-// through U; PFI mode instead applies its column-etas after U. BTRAN
-// (Bᵀ x = b) runs the transposes in reverse order. All solves skip zero
-// entries, so work scales with the nonzeros actually touched (the
+// FTRAN (B x = b) applies the recorded L row-operations, then the
+// Forrest–Tomlin row-etas oldest-first, then back-substitutes through U.
+// BTRAN (Bᵀ x = b) runs the transposes in reverse order. All solves skip
+// zero entries, so work scales with the nonzeros actually touched (the
 // hyper-sparse case — unit BTRAN rhs for the dual pivot row — stays far
 // below O(m)). Inner loops run over SoA (int32 index / double value)
 // arrays so the gather-heavy halves vectorize through simd.hpp.
@@ -64,21 +52,11 @@ struct CscMatrix {
   std::size_t nonzeros() const { return row_index.size(); }
 };
 
-/// How simplex pivots are absorbed between refactorizations.
-enum class BasisUpdateKind {
-  kForrestTomlin,   ///< FT row-spike updates of U (default)
-  kProductFormEta,  ///< product-form eta file (baseline / differential oracle)
-};
-
-const char* basis_update_kind_name(BasisUpdateKind kind);
-
 /// Cumulative factorization-engine counters. Kept by the simplex across
 /// loads (the backend layer reports per-solve deltas into SolverStats).
 struct BasisFactorStats {
   std::size_t factorizations = 0;       ///< full (re)factorizations
-  std::size_t updates = 0;              ///< pivots absorbed as updates (both kinds)
-  std::size_t ft_updates = 0;           ///< ... of which Forrest–Tomlin
-  std::size_t eta_updates = 0;          ///< ... of which product-form eta
+  std::size_t updates = 0;              ///< pivots absorbed as Forrest–Tomlin updates
   std::size_t eta_nonzeros = 0;         ///< nnz appended to the update file
   std::size_t singular_recoveries = 0;  ///< crash-basis fallbacks
   /// Non-finite FTRAN/BTRAN/update results caught before they could
@@ -117,7 +95,7 @@ class BasisLu {
  public:
   /// Factorizes the basis selected by `basic` (size m): entry j < n is
   /// structural column j of `A`, entry j >= n the logical column
-  /// -e_{j-n}. Clears the update file and latches the update kind.
+  /// -e_{j-n}. Clears the update file.
   /// Returns false (and invalidates the engine) when the basis is
   /// numerically singular.
   bool factorize(const CscMatrix& A, std::size_t n,
@@ -125,11 +103,6 @@ class BasisLu {
 
   bool valid() const { return valid_; }
   std::size_t dimension() const { return m_; }
-
-  /// Selects the update scheme for subsequent factorizations (never
-  /// retroactive: an in-flight factorization keeps the kind it latched).
-  void set_update_kind(BasisUpdateKind kind) { requested_kind_ = kind; }
-  BasisUpdateKind update_kind() const { return active_kind_; }
 
   /// x := B^{-1} x (x dense, size m; zeros are skipped, not scanned-free).
   void ftran(std::vector<double>& x) const;
@@ -150,17 +123,11 @@ class BasisLu {
   /// dimension (the satellite replacing the historical hard-coded 64/96).
   std::size_t refactor_cadence() const { return cadence_; }
 
-  std::size_t eta_count() const { return etas_.size() + ft_etas_.size(); }
+  std::size_t eta_count() const { return ft_etas_.size(); }
   std::size_t lu_nonzeros() const { return lu_nonzeros_; }
   std::size_t eta_file_nonzeros() const { return eta_file_nonzeros_; }
 
  private:
-  struct Eta {
-    std::size_t pivot = 0;   ///< basis position replaced
-    double inv_pivot = 0.0;  ///< 1 / w[pivot]
-    SparseVec entries;       ///< (i, w[i]), i != pivot
-  };
-
   /// Forrest–Tomlin row-eta: the multipliers that re-triangularized U
   /// after a spike. FTRAN applies x[target] -= Σ μ·x[source]; BTRAN the
   /// transpose. Both index constraint-row space (between L and U).
@@ -169,13 +136,8 @@ class BasisLu {
     SparseVec entries;       ///< (source constraint row, μ)
   };
 
-  bool update_product_form(std::size_t r, const std::vector<double>& w);
-  bool update_forrest_tomlin(std::size_t r, const std::vector<double>& w);
-
   std::size_t m_ = 0;
   bool valid_ = false;
-  BasisUpdateKind requested_kind_ = BasisUpdateKind::kForrestTomlin;
-  BasisUpdateKind active_kind_ = BasisUpdateKind::kForrestTomlin;
 
   // ---- L: immutable once factorized (updates never touch it) ----
   /// L as row operations applied in factorization order: at step t,
@@ -196,8 +158,7 @@ class BasisLu {
   std::vector<std::int32_t> step_of_col_;
   std::size_t lu_nonzeros_ = 0;
 
-  // ---- update file (one of the two is populated per factorization) ----
-  std::vector<Eta> etas_;
+  // ---- update file ----
   std::vector<FtEta> ft_etas_;
   std::size_t eta_file_nonzeros_ = 0;
   std::size_t updates_since_factor_ = 0;

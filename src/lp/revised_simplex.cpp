@@ -21,15 +21,6 @@ constexpr double kPivotTol = 1e-8;
 /// weights back to 1, counted in pricing_resets()).
 constexpr double kDevexResetCap = 1e10;
 
-/// Dense-inverse hygiene cadence, adaptive to the basis dimension
-/// (historically a hard-coded 96): a refactorization costs O(m³) against
-/// O(m²) per update, so amortizing it over ~m pivots keeps the overhead
-/// a constant fraction while small bases still refresh frequently enough
-/// to bound drift.
-std::size_t dense_refactor_interval(std::size_t m) {
-  return std::clamp<std::size_t>(m, 48, 384);
-}
-
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
@@ -125,19 +116,18 @@ void RevisedSimplex::load(const LpProblem& problem) {
 
   basic_.clear();
   status_.clear();
-  binv_.clear();
   xb_.clear();
   alpha_.assign(total_, 0.0);
   touched_.clear();
   devex_.clear();
   dval_.clear();
   dval_valid_ = false;
-  lu_.set_update_kind(options_.basis_update);
 }
 
 void RevisedSimplex::set_bounds(std::size_t var, double lo, double up) {
-  internal_check(var < n_, "RevisedSimplex::set_bounds: variable out of range");
-  internal_check(lo <= up, "RevisedSimplex::set_bounds: inverted bounds");
+  check(var < n_, "RevisedSimplex::set_bounds: variable out of range");
+  check(std::isfinite(lo) && std::isfinite(up) && lo <= up,
+        "RevisedSimplex::set_bounds: invalid bounds");
   lo_[var] = lo;
   up_[var] = up;
 }
@@ -156,36 +146,19 @@ double RevisedSimplex::row_dot_column(const double* rho, std::size_t j) const {
 
 void RevisedSimplex::btran_unit(std::size_t position, std::vector<double>& rho) const {
   rho.assign(m_, 0.0);
-  if (sparse()) {
-    rho[position] = 1.0;
-    lu_.btran(rho);
-  } else {
-    const double* row = &binv_[position * m_];
-    std::copy(row, row + m_, rho.begin());
-  }
+  rho[position] = 1.0;
+  lu_.btran(rho);
 }
 
 void RevisedSimplex::ftran_column(std::size_t q, std::vector<double>& w) const {
   w.assign(m_, 0.0);
-  if (sparse()) {
-    if (q >= n_) {
-      w[q - n_] = -1.0;
-    } else {
-      for (std::size_t e = A_.col_start[q]; e < A_.col_start[q + 1]; ++e)
-        w[A_.row_index[e]] = A_.value[e];
-    }
-    lu_.ftran(w);
-    return;
-  }
   if (q >= n_) {
-    for (std::size_t r = 0; r < m_; ++r) w[r] = -binv_[r * m_ + (q - n_)];
+    w[q - n_] = -1.0;
   } else {
-    for (std::size_t e = A_.col_start[q]; e < A_.col_start[q + 1]; ++e) {
-      const std::size_t row = A_.row_index[e];
-      const double coeff = A_.value[e];
-      for (std::size_t r = 0; r < m_; ++r) w[r] += binv_[r * m_ + row] * coeff;
-    }
+    for (std::size_t e = A_.col_start[q]; e < A_.col_start[q + 1]; ++e)
+      w[A_.row_index[e]] = A_.value[e];
   }
+  lu_.ftran(w);
 }
 
 void RevisedSimplex::compute_pivot_row(const std::vector<double>& rho, bool sort_touched) {
@@ -204,8 +177,8 @@ void RevisedSimplex::compute_pivot_row(const std::vector<double>& rho, bool sort
     alpha_[s] -= r;
   }
   // Bland's anti-cycling rule wants the smallest eligible index, so give
-  // it a deterministic ascending scan; Dantzig-style pricing does not
-  // care about order.
+  // it a deterministic ascending scan; the largest-|alpha| ratio test
+  // does not care about order.
   if (sort_touched) std::sort(touched_.begin(), touched_.end());
 }
 
@@ -222,19 +195,10 @@ void RevisedSimplex::reset_to_logical_basis() {
   // objective — no phase-1 needed, the dual simplex does everything.
   for (std::size_t j = 0; j < n_; ++j)
     status_[j] = cost_[j] < 0.0 ? kAtUpper : kAtLower;
-  if (sparse()) {
-    // All-logical B factors as m column singletons; never singular. The
-    // injection probe is suppressed here: this is the recovery path.
-    const bool ok = refactorize(/*allow_fault=*/false);
-    internal_check(ok, "RevisedSimplex: logical basis must factorize");
-  } else {
-    // B = -I is its own inverse.
-    binv_.assign(m_ * m_, 0.0);
-    for (std::size_t i = 0; i < m_; ++i) binv_[i * m_ + i] = -1.0;
-    ++factor_stats_.factorizations;
-    factor_stats_.refactor_cadence = dense_refactor_interval(m_);
-    pivots_since_refactor_ = 0;
-  }
+  // All-logical B factors as m column singletons; never singular. The
+  // injection probe is suppressed here: this is the recovery path.
+  const bool ok = refactorize(/*allow_fault=*/false);
+  internal_check(ok, "RevisedSimplex: logical basis must factorize");
   devex_.assign(m_, 1.0);
   // All-logical basis ⇒ duals are zero ⇒ d = c directly (logicals cost 0).
   dval_ = cost_;
@@ -267,9 +231,7 @@ bool RevisedSimplex::install_basis(const SimplexBasis& basis) {
   // valid: the basis matrix only depends on which columns are basic, not
   // on the bounds the caller just tightened. Only the nonbasic resting
   // values need recomputing.
-  const bool factors_ok = sparse() ? lu_.valid() : binv_.size() == m_ * m_;
-  const bool reuse = options_.reuse_matching_basis && factors_ok &&
-                     basic_.size() == m_ &&
+  const bool reuse = lu_.valid() && basic_.size() == m_ &&
                      std::equal(basic_.begin(), basic_.end(), basis.basic.begin());
   basic_.assign(basis.basic.begin(), basis.basic.end());
   status_ = std::move(status);
@@ -318,64 +280,15 @@ bool RevisedSimplex::refactorize(bool allow_fault) {
   // accumulate the same kind of drift the factorization does, so the
   // two are rebuilt on the same cadence.
   dval_valid_ = false;
-  bool ok;
-  if (sparse()) {
-    ok = lu_.factorize(A_, n_, basic_);
-  } else {
-    // Assemble B column-by-column, then invert via Gauss-Jordan with
-    // partial pivoting: [B | I] -> [I | B^{-1}].
-    std::vector<double> work(m_ * 2 * m_, 0.0);
-    const std::size_t w = 2 * m_;
-    for (std::size_t k = 0; k < m_; ++k) {
-      const std::size_t j = static_cast<std::size_t>(basic_[k]);
-      if (j >= n_) {
-        work[(j - n_) * w + k] = -1.0;
-      } else {
-        for (std::size_t e = A_.col_start[j]; e < A_.col_start[j + 1]; ++e)
-          work[A_.row_index[e] * w + k] += A_.value[e];
-      }
-      work[k * w + m_ + k] = 1.0;
-    }
-    ok = true;
-    for (std::size_t col = 0; col < m_ && ok; ++col) {
-      std::size_t pivot = col;
-      double best = std::abs(work[col * w + col]);
-      for (std::size_t r = col + 1; r < m_; ++r) {
-        const double a = std::abs(work[r * w + col]);
-        if (a > best) {
-          best = a;
-          pivot = r;
-        }
-      }
-      if (best < 1e-11) {
-        ok = false;  // singular basis
-        break;
-      }
-      if (pivot != col)
-        for (std::size_t c = 0; c < w; ++c) std::swap(work[pivot * w + c], work[col * w + c]);
-      const double inv = 1.0 / work[col * w + col];
-      for (std::size_t c = 0; c < w; ++c) work[col * w + c] *= inv;
-      for (std::size_t r = 0; r < m_; ++r) {
-        if (r == col) continue;
-        const double factor = work[r * w + col];
-        if (factor == 0.0) continue;
-        for (std::size_t c = col; c < w; ++c) work[r * w + c] -= factor * work[col * w + c];
-      }
-    }
-    if (ok) {
-      binv_.assign(m_ * m_, 0.0);
-      for (std::size_t r = 0; r < m_; ++r)
-        for (std::size_t c = 0; c < m_; ++c) binv_[r * m_ + c] = work[r * w + m_ + c];
-    }
-  }
+  bool ok = lu_.factorize(A_, n_, basic_);
+
   // Chaos probe: simulate the factorization discovering a singular basis
   // so the crash-basis fallback is exercised, not assumed.
   if (ok && allow_fault && fault::should_fire("lp.refactor_singular")) ok = false;
   factor_stats_.factor_seconds += seconds_since(start);
   if (ok) {
     ++factor_stats_.factorizations;
-    factor_stats_.refactor_cadence =
-        sparse() ? lu_.refactor_cadence() : dense_refactor_interval(m_);
+    factor_stats_.refactor_cadence = lu_.refactor_cadence();
     pivots_since_refactor_ = 0;
   }
   return ok;
@@ -401,14 +314,8 @@ void RevisedSimplex::recompute_basic_values() {
         residual[A_.row_index[e]] -= A_.value[e] * v;
     }
   }
-  if (sparse()) {
-    lu_.ftran(residual);
-    xb_ = std::move(residual);
-    return;
-  }
-  xb_.assign(m_, 0.0);
-  for (std::size_t r = 0; r < m_; ++r)
-    xb_[r] = simd::dot(&binv_[r * m_], residual.data(), m_);
+  lu_.ftran(residual);
+  xb_ = std::move(residual);
 }
 
 void RevisedSimplex::rebuild_basic_bounds() {
@@ -424,17 +331,9 @@ void RevisedSimplex::rebuild_basic_bounds() {
 void RevisedSimplex::recompute_reduced_costs() {
   dval_.assign(total_, 0.0);
   if (!all_costs_zero_) {
-    std::vector<double> duals(m_, 0.0);
-    if (sparse()) {
-      for (std::size_t k = 0; k < m_; ++k) duals[k] = cost_[basic_[k]];
-      lu_.btran(duals);
-    } else {
-      for (std::size_t k = 0; k < m_; ++k) {
-        const double cb = cost_[basic_[k]];
-        if (cb == 0.0) continue;
-        simd::axpy(cb, &binv_[k * m_], duals.data(), m_);
-      }
-    }
+    std::vector<double> duals(m_);
+    for (std::size_t k = 0; k < m_; ++k) duals[k] = cost_[basic_[k]];
+    lu_.btran(duals);
     for (std::size_t j = 0; j < total_; ++j) {
       if (status_[j] == kBasic) continue;
       dval_[j] = cost_[j] - row_dot_column(duals.data(), j);
@@ -460,14 +359,8 @@ void RevisedSimplex::run_dual(LpSolution& solution) {
   std::vector<double> rho(m_);
   std::vector<double> w(m_);
   std::size_t iterations = 0;
-  const bool devex = options_.pricing == PricingRule::kDevex;
-  if (devex && devex_.size() != m_) devex_.assign(m_, 1.0);
+  if (devex_.size() != m_) devex_.assign(m_, 1.0);
   rebuild_basic_bounds();
-  // Historical (pre-incremental) pricing state: one BTRAN for the duals
-  // every iteration, reduced costs derived lazily per ratio-test column.
-  const bool incr_d = options_.incremental_reduced_costs;
-  std::vector<double> duals;
-  if (!incr_d) dval_valid_ = false;  // dval_ is not maintained on this path
   // Non-finite recovery strikes: reset on every clean pivot, and after
   // three back-to-back recoveries the data is judged poisoned beyond
   // refactorization — bail with a no-verdict status instead of looping.
@@ -496,25 +389,10 @@ void RevisedSimplex::run_dual(LpSolution& solution) {
       return;
     }
     const bool use_bland = iterations >= options_.bland_after;
-    if (incr_d) {
-      if (!dval_valid_) recompute_reduced_costs();
-    } else if (!all_costs_zero_) {
-      duals.assign(m_, 0.0);
-      if (sparse()) {
-        for (std::size_t k = 0; k < m_; ++k) duals[k] = cost_[basic_[k]];
-        lu_.btran(duals);
-      } else {
-        for (std::size_t k = 0; k < m_; ++k) {
-          const double cb = cost_[basic_[k]];
-          if (cb == 0.0) continue;
-          simd::axpy(cb, &binv_[k * m_], duals.data(), m_);
-        }
-      }
-    }
+    if (!dval_valid_) recompute_reduced_costs();
 
-    // Leaving row. Dantzig: the basic variable with the worst bound
-    // violation. Devex: the violation squared is weighted down by the
-    // reference estimate of ||e_r B^{-1}||², approximating the dual
+    // Leaving row (Devex): the squared bound violation weighted down by
+    // the reference estimate of ||e_r B^{-1}||², approximating the dual
     // steepest-edge row choice at O(1) extra cost. (Bland: the smallest
     // variable index among the violated.)
     std::size_t leave_row = m_;
@@ -530,8 +408,7 @@ void RevisedSimplex::run_dual(LpSolution& solution) {
       }
     } else {
       leave_row = simd::argmax_violation(xb_.data(), blo_.data(), bup_.data(),
-                                         devex ? devex_.data() : nullptr,
-                                         kPrimalTol, m_);
+                                         devex_.data(), kPrimalTol, m_);
       if (leave_row < m_) below = xb_[leave_row] < blo_[leave_row] - kPrimalTol;
     }
     if (leave_row == m_) {
@@ -584,10 +461,7 @@ void RevisedSimplex::run_dual(LpSolution& solution) {
       if (status_[j] == kAtLower ? signed_alpha >= -kPivotTol
                                  : signed_alpha <= kPivotTol)
         continue;
-      const double d = incr_d ? dval_[j]
-                       : all_costs_zero_
-                           ? 0.0
-                           : cost_[j] - row_dot_column(duals.data(), j);
+      const double d = dval_[j];
       if (!std::isfinite(d)) {
         saw_nonfinite = true;
         continue;
@@ -674,7 +548,7 @@ void RevisedSimplex::run_dual(LpSolution& solution) {
     // Dual-pivot reduced-cost maintenance: d ← d − θ_d·α over the pivot
     // row (α is zero outside touched_, so those entries are untouched).
     // Runs before the status flips so "basic" still means pre-pivot.
-    if (incr_d && !all_costs_zero_) {
+    if (!all_costs_zero_) {
       const double theta_d = dval_[q] / best_alpha;
       if (theta_d != 0.0)
         for (const std::size_t j : touched_)
@@ -692,59 +566,36 @@ void RevisedSimplex::run_dual(LpSolution& solution) {
     // leaving row's weight through the pivot column the iteration already
     // FTRAN'd, so the estimates track ||e_r B^{-1}||² without extra
     // solves. Estimates past the trust cap restart the framework.
-    if (devex) {
-      const double alpha_pivot = w[leave_row];
-      const double gr = devex_[leave_row];
-      const double inv_a2 = 1.0 / (alpha_pivot * alpha_pivot);
-      const double gnew = std::max(gr * inv_a2, 1.0);
-      if (gnew > kDevexResetCap) {
-        devex_.assign(m_, 1.0);
-        ++pricing_resets_;
-      } else {
-        // leave_row rides along (its candidate is exactly gr, a no-op
-        // against the current weight) and is then set explicitly.
-        simd::max_square_scaled(w.data(), inv_a2 * gr, devex_.data(), m_);
-        devex_[leave_row] = gnew;
-      }
+    const double alpha_pivot = w[leave_row];
+    const double gr = devex_[leave_row];
+    const double inv_a2 = 1.0 / (alpha_pivot * alpha_pivot);
+    const double gnew = std::max(gr * inv_a2, 1.0);
+    if (gnew > kDevexResetCap) {
+      devex_.assign(m_, 1.0);
+      ++pricing_resets_;
+    } else {
+      // leave_row rides along (its candidate is exactly gr, a no-op
+      // against the current weight) and is then set explicitly.
+      simd::max_square_scaled(w.data(), inv_a2 * gr, devex_.data(), m_);
+      devex_[leave_row] = gnew;
     }
 
     // Absorb the pivot into the factorization.
-    if (sparse()) {
-      const std::size_t eta_before = lu_.eta_file_nonzeros();
-      if (lu_.update(leave_row, w)) {
-        ++factor_stats_.updates;
-        if (lu_.update_kind() == BasisUpdateKind::kForrestTomlin)
-          ++factor_stats_.ft_updates;
-        else
-          ++factor_stats_.eta_updates;
-        factor_stats_.eta_nonzeros += lu_.eta_file_nonzeros() - eta_before;
-      } else if (!refactorize()) {
-        recover_singular_basis();
-        recompute_basic_values();
-        ++iterations;
-        continue;
-      }
-    } else {
-      // Update B^{-1}: eliminate column w against the pivot row.
-      const double inv = 1.0 / w[leave_row];
-      double* prow = &binv_[leave_row * m_];
-      simd::scale_shift(prow, inv, 0.0, m_);
-      for (std::size_t r = 0; r < m_; ++r) {
-        if (r == leave_row) continue;
-        const double factor = w[r];
-        if (factor == 0.0) continue;
-        simd::axpy(-factor, prow, &binv_[r * m_], m_);
-      }
+    const std::size_t eta_before = lu_.eta_file_nonzeros();
+    if (lu_.update(leave_row, w)) {
       ++factor_stats_.updates;
+      factor_stats_.eta_nonzeros += lu_.eta_file_nonzeros() - eta_before;
+    } else if (!refactorize()) {
+      recover_singular_basis();
+      recompute_basic_values();
+      ++iterations;
+      continue;
     }
 
     ++iterations;
     ++pivots_since_refactor_;
     consecutive_recoveries = 0;
-    const bool want_refactor =
-        sparse() ? lu_.should_refactorize()
-                 : pivots_since_refactor_ >= dense_refactor_interval(m_);
-    if (want_refactor) {
+    if (lu_.should_refactorize()) {
       if (!refactorize()) recover_singular_basis();
       recompute_basic_values();
     }

@@ -15,24 +15,18 @@
 // restarts from the parent's optimal basis, which stays dual feasible,
 // typically needing only a handful of pivots.
 //
-// The basis inverse lives behind SimplexOptions::factorization:
-//   * kSparseLu (default) — sparse LU of the basis (lp::BasisLu) with
-//     Forrest–Tomlin updates by default (product-form etas behind
-//     SimplexOptions::basis_update for differential tests); FTRAN/BTRAN
-//     and the pivot-row pricing all scale with nonzeros, and
-//     refactorization is driven by an adaptive update cadence plus a
-//     numerical-drift trigger.
-//   * kDenseInverse — the original explicit m×m B^{-1}, kept as the
-//     differential-testing oracle (O(m²) per pivot).
-// Either way, a refactorization that discovers a singular basis falls
-// back to the all-logical crash basis (reported in factor_stats())
-// instead of failing the solve.
+// The basis is held as a sparse LU (lp::BasisLu) with Forrest–Tomlin
+// updates: FTRAN/BTRAN and the pivot-row pricing all scale with
+// nonzeros, and refactorization is driven by an adaptive update cadence
+// plus a numerical-drift trigger. A refactorization that discovers a
+// singular basis falls back to the all-logical crash basis (reported in
+// factor_stats()) instead of failing the solve.
 //
-// Leaving-row pricing follows SimplexOptions::pricing: Devex reference
-// weights (default) or plain Dantzig most-violated; see PricingRule in
-// lp/simplex.hpp. Devex state survives a warm resolve() when
-// SimplexOptions::reuse_matching_basis recognises the incoming basis as
-// the one already factorized (the branch-and-bound dive fast path).
+// The leaving row is priced by Devex reference weights, the dual
+// steepest-edge approximation; reduced costs are maintained
+// incrementally across pivots. Factors and Devex state survive a warm
+// resolve() whose incoming basis is the one already factorized (the
+// branch-and-bound dive fast path).
 #pragma once
 
 #include <cstddef>
@@ -87,7 +81,9 @@ class RevisedSimplex {
   void load(const LpProblem& problem);
   bool loaded() const { return total_ > 0; }
 
-  /// Overrides the box of structural variable `var` (must keep lo <= up).
+  /// Overrides the box of structural variable `var`. The box must be
+  /// finite with lo <= up (ContractViolation otherwise), as for
+  /// LpProblem::set_bounds.
   void set_bounds(std::size_t var, double lo, double up);
 
   /// Cold solve from the dual-feasible all-logical basis.
@@ -120,7 +116,7 @@ class RevisedSimplex {
   const BasisFactorStats& factor_stats() const { return factor_stats_; }
 
   /// Cumulative Devex reference-framework restarts (weights reset to 1
-  /// after growing past trust). Zero under kDantzig pricing.
+  /// after growing past trust).
   std::size_t pricing_resets() const { return pricing_resets_; }
 
   std::size_t structural_count() const { return n_; }
@@ -129,9 +125,6 @@ class RevisedSimplex {
  private:
   enum : std::int8_t { kAtLower = 0, kAtUpper = 1, kBasic = 2 };
 
-  bool sparse() const {
-    return options_.factorization == FactorizationKind::kSparseLu;
-  }
   void reset_to_logical_basis();
   bool install_basis(const SimplexBasis& basis);
   /// Rebuilds the factorization from basic_; false when singular.
@@ -182,8 +175,7 @@ class RevisedSimplex {
   // Basis state.
   std::vector<std::int32_t> basic_;   ///< size m_
   std::vector<std::int8_t> status_;   ///< size total_
-  std::vector<double> binv_;          ///< kDenseInverse: m_ x m_, row-major
-  BasisLu lu_;                        ///< kSparseLu engine
+  BasisLu lu_;                        ///< basis factorization
   std::vector<double> xb_;            ///< basic values, size m_
   /// Pivot-row pricing scratch: dense alpha over all columns plus the
   /// indices touched by the last scatter.

@@ -24,26 +24,6 @@ const char* solve_status_name(SolveStatus status) {
   return "unknown";
 }
 
-const char* factorization_kind_name(FactorizationKind kind) {
-  switch (kind) {
-    case FactorizationKind::kDenseInverse:
-      return "dense-inverse";
-    case FactorizationKind::kSparseLu:
-      return "sparse-lu";
-  }
-  return "unknown";
-}
-
-const char* pricing_rule_name(PricingRule rule) {
-  switch (rule) {
-    case PricingRule::kDantzig:
-      return "dantzig";
-    case PricingRule::kDevex:
-      return "devex";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Dense simplex tableau with an explicit basis.

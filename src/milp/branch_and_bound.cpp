@@ -366,18 +366,20 @@ class Worker {
       bool push_one = !decision.up_infeasible;
 
       // ---- Batched sibling re-solves -------------------------------
-      // Solve both children now, while the parent basis is the one the
-      // backend just worked from (sharing its factorization and Devex
-      // pricing weights via the reuse_matching_basis fast path), and
-      // queue them under their own — strictly tighter — relaxation
-      // objectives. Skipped when the branching rule's probes already
-      // solved either child: the probe WAS that solve, and batching
-      // would repeat the LP work it paid for.
+      // Solve both children now through LpBackend::solve_children,
+      // while the parent basis is the one the backend just worked from
+      // (the revised simplex recognises it and keeps its factorization
+      // and Devex pricing weights), and queue them under their own —
+      // strictly tighter — relaxation objectives; infeasible children
+      // are pruned without ever entering the frontier. Skipped when the
+      // branching rule's probes already solved either child: the probe
+      // WAS that solve, and batching would repeat the LP work it paid
+      // for.
       const bool probe_touched =
           decision.down_recorded || decision.up_recorded ||
           decision.down_infeasible || decision.up_infeasible ||
           decision.have_down_bound || decision.have_up_bound;
-      if (options_.batch_sibling_solves && !probe_touched && basis != nullptr) {
+      if (!probe_touched && basis != nullptr) {
         const solver::ChildBounds specs[2] = {{branch_var, 0.0, 0.0},
                                               {branch_var, 1.0, 1.0}};
         solver::ChildResult results[2];

@@ -139,17 +139,6 @@ struct BranchAndBoundOptions {
   /// (src/milp/search/strategy.hpp). Defaults reproduce the classic
   /// depth-first / most-fractional search.
   search::SearchOptions search = {};
-  /// Solve both children of a branch immediately at expansion through
-  /// LpBackend::solve_children, while the parent basis is still the one
-  /// factorized in the worker's backend (sharing the factorization and
-  /// Devex pricing weights), instead of re-solving each child at pop
-  /// time. Children then carry their *own* relaxation objective as the
-  /// queue bound — strictly tighter than the parent objective the pop
-  /// path queues under — and infeasible children are pruned without
-  /// ever entering the frontier. Skipped for branching rules whose
-  /// probes already solved the children (strong branching / reliability
-  /// probes), which would double the LP work.
-  bool batch_sibling_solves = true;
   /// Reference for the reported `best_bound_gap` when a node-limit stop
   /// holds no incumbent (NaN = no reference). The verifier sets this to
   /// the risk threshold of its margin objective, so an UNKNOWN reports

@@ -26,8 +26,6 @@ void SolverStats::merge(const SolverStats& other) {
   cut_rounds += other.cut_rounds;
   basis_factorizations += other.basis_factorizations;
   basis_updates += other.basis_updates;
-  ft_updates += other.ft_updates;
-  eta_updates += other.eta_updates;
   eta_nonzeros += other.eta_nonzeros;
   singular_recoveries += other.singular_recoveries;
   nonfinite_recoveries += other.nonfinite_recoveries;
@@ -165,8 +163,6 @@ class RevisedBoundedBackend final : public LpBackend {
     const lp::BasisFactorStats& now = simplex_.factor_stats();
     stats_.basis_factorizations += now.factorizations - seen_.factorizations;
     stats_.basis_updates += now.updates - seen_.updates;
-    stats_.ft_updates += now.ft_updates - seen_.ft_updates;
-    stats_.eta_updates += now.eta_updates - seen_.eta_updates;
     stats_.eta_nonzeros += now.eta_nonzeros - seen_.eta_nonzeros;
     stats_.singular_recoveries += now.singular_recoveries - seen_.singular_recoveries;
     stats_.nonfinite_recoveries += now.nonfinite_recoveries - seen_.nonfinite_recoveries;

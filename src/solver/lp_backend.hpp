@@ -52,24 +52,21 @@ struct SolverStats {
   std::size_t cut_rounds = 0;
   /// Basis-factorization accounting from the revised simplex (see
   /// lp::BasisFactorStats; all zero on the dense-tableau backend):
-  /// full (re)factorizations, pivots absorbed as updates (split by
-  /// update scheme: Forrest–Tomlin vs product-form eta), nonzeros
-  /// appended to the update file, and singular-basis fallbacks to the
-  /// all-logical crash basis.
+  /// full (re)factorizations, pivots absorbed as Forrest–Tomlin
+  /// updates, nonzeros appended to the update file, and singular-basis
+  /// fallbacks to the all-logical crash basis.
   std::size_t basis_factorizations = 0;
   std::size_t basis_updates = 0;
-  std::size_t ft_updates = 0;
-  std::size_t eta_updates = 0;
   std::size_t eta_nonzeros = 0;
   std::size_t singular_recoveries = 0;
   /// Non-finite FTRAN/BTRAN/pivot values caught by the revised simplex
   /// before they could poison a verdict; each forced a refactorization
   /// (see lp::BasisFactorStats::nonfinite_recoveries).
   std::size_t nonfinite_recoveries = 0;
-  /// Devex reference-framework restarts (lp::PricingRule::kDevex only;
-  /// weights reset to 1 after growing past trust — a pricing-quality
-  /// signal: frequent resets mean the steepest-edge estimates keep
-  /// degenerating into Dantzig).
+  /// Devex reference-framework restarts of the revised simplex (weights
+  /// reset to 1 after growing past trust — a pricing-quality signal:
+  /// frequent resets mean the steepest-edge estimates keep degenerating
+  /// into plain most-violated pricing).
   std::size_t pricing_resets = 0;
   /// Batched sibling re-solves issued through solve_children (each batch
   /// covers every child of one branch from the shared parent basis).
@@ -144,8 +141,8 @@ class LpBackend {
   /// the shared `parent` basis, writing `children[i]`'s solution and
   /// basis snapshot into `out[i]`. The point of batching is that the
   /// expensive per-child setup is shared: the first child typically
-  /// finds the parent's factors still in memory (the revised backend's
-  /// reuse_matching_basis fast path skips its refactorization entirely)
+  /// finds the parent's factors still in memory (the revised backend
+  /// recognises the matching basis and skips its refactorization)
   /// and the Devex pricing weights trained on the parent carry into
   /// both children instead of being rebuilt per pop.
   ///

@@ -1,9 +1,9 @@
 // Sparse LU factorization engine tests: factor/solve identity against a
-// dense reference on randomized sparse bases, product-form eta update
-// equivalence to refactorization across pivot chains, tableau parity
-// between the dense-inverse and sparse-LU revised simplex, verdict
-// parity across factorization x backend x threads x cuts, and the
-// singular-basis crash recovery path.
+// dense reference on randomized sparse bases, Forrest–Tomlin update
+// equivalence to refactorization across pivot chains, revised-simplex
+// optima and tableau rows against the dense-tableau oracle and a naive
+// dense inverse, verdict parity across backend x threads x cuts, and
+// the singular-basis crash recovery path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,14 +25,11 @@ namespace {
 constexpr double kTol = 1e-6;
 
 using lp::BasisLu;
-using lp::BasisUpdateKind;
 using lp::CscMatrix;
-using lp::FactorizationKind;
 using lp::LinearTerm;
 using lp::LpProblem;
 using lp::LpSolution;
 using lp::Objective;
-using lp::PricingRule;
 using lp::RevisedSimplex;
 using lp::RowSense;
 using lp::SimplexOptions;
@@ -188,153 +185,99 @@ TEST(BasisLuFactor, FtranAndBtranMatchDenseSolvesOnRandomSparseBases) {
   EXPECT_GE(factored, 35u);  // the sweep must exercise real factorizations
 }
 
-TEST(BasisLuFactor, EtaUpdatesStayEquivalentToRefactorizationAcrossPivotChains) {
-  for (int seed = 0; seed < 8; ++seed) {
-    Rng rng(static_cast<std::uint64_t>(seed) * 2417 + 7);
-    const std::size_t m = 18;
-    const std::size_t n = 40;
-    const CscMatrix A = random_csc(rng, m, n);
-    std::vector<std::int32_t> basic(m);
-    for (std::size_t k = 0; k < m; ++k) basic[k] = static_cast<std::int32_t>(n + k);
+/// Drives a random pivot chain from the all-logical basis of a random
+/// m x n matrix and, after every Forrest–Tomlin update, checks FTRAN and
+/// BTRAN against a from-scratch factorization of the current basis.
+/// Stops after `attempts` draws or `target` applied pivots. A declined
+/// marginal pivot fails the chain unless `may_decline`, in which case
+/// the engine restarts from a fresh factorization and the chain
+/// continues. Returns the number of pivots applied.
+std::size_t run_update_chain(Rng& rng, std::size_t m, std::size_t n, int attempts,
+                             std::size_t target, double pick_floor, double tol,
+                             bool may_decline, int seed) {
+  const CscMatrix A = random_csc(rng, m, n);
+  std::vector<std::int32_t> basic(m);
+  for (std::size_t k = 0; k < m; ++k) basic[k] = static_cast<std::int32_t>(n + k);
 
-    BasisLu lu;
-    ASSERT_TRUE(lu.factorize(A, n, basic));
+  BasisLu lu;
+  EXPECT_TRUE(lu.factorize(A, n, basic));
 
-    std::size_t applied = 0;
-    for (int pivot = 0; pivot < 50; ++pivot) {
-      // Entering column: a random structural column not already basic.
-      const std::size_t q =
-          static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(n) - 1));
-      bool in_basis = false;
-      for (const std::int32_t b : basic)
-        if (static_cast<std::size_t>(b) == q) in_basis = true;
-      if (in_basis) continue;
-      std::vector<double> w(m, 0.0);
-      for (std::size_t e = A.col_start[q]; e < A.col_start[q + 1]; ++e)
-        w[A.row_index[e]] = A.value[e];
-      lu.ftran(w);
-      // Leaving position: largest |w[r]| (a stable replacement exists).
-      std::size_t r = m;
-      double best = 1e-7;
-      for (std::size_t i = 0; i < m; ++i) {
-        if (std::abs(w[i]) > best) {
-          best = std::abs(w[i]);
-          r = i;
-        }
+  std::size_t applied = 0;
+  std::size_t since_factor = 0;
+  for (int attempt = 0; attempt < attempts && applied < target; ++attempt) {
+    // Entering column: a random structural column not already basic.
+    const std::size_t q =
+        static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(n) - 1));
+    bool in_basis = false;
+    for (const std::int32_t b : basic)
+      if (static_cast<std::size_t>(b) == q) in_basis = true;
+    if (in_basis) continue;
+    std::vector<double> w(m, 0.0);
+    for (std::size_t e = A.col_start[q]; e < A.col_start[q + 1]; ++e)
+      w[A.row_index[e]] = A.value[e];
+    lu.ftran(w);
+    // Leaving position: largest |w[r]| (a stable replacement exists).
+    std::size_t r = m;
+    double best = pick_floor;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (std::abs(w[i]) > best) {
+        best = std::abs(w[i]);
+        r = i;
       }
-      if (r == m) continue;
-      ASSERT_TRUE(lu.update(r, w)) << "seed " << seed << " pivot " << pivot;
-      basic[r] = static_cast<std::int32_t>(q);
-      ++applied;
-
-      // The eta-updated engine must agree with a from-scratch
-      // factorization of the *current* basis, in both directions.
-      BasisLu fresh;
-      ASSERT_TRUE(fresh.factorize(A, n, basic)) << "seed " << seed << " pivot " << pivot;
-      std::vector<double> rhs(m);
-      for (std::size_t i = 0; i < m; ++i) rhs[i] = rng.uniform(-1.0, 1.0);
-      std::vector<double> via_etas = rhs, via_fresh = rhs;
-      lu.ftran(via_etas);
-      fresh.ftran(via_fresh);
-      for (std::size_t i = 0; i < m; ++i)
-        EXPECT_NEAR(via_etas[i], via_fresh[i], 1e-6)
-            << "ftran seed " << seed << " pivot " << pivot;
-      via_etas = rhs;
-      via_fresh = rhs;
-      lu.btran(via_etas);
-      fresh.btran(via_fresh);
-      for (std::size_t i = 0; i < m; ++i)
-        EXPECT_NEAR(via_etas[i], via_fresh[i], 1e-6)
-            << "btran seed " << seed << " pivot " << pivot;
     }
-    EXPECT_GT(applied, 10u) << "seed " << seed;
-    EXPECT_GT(lu.eta_count(), 0u);
+    if (r == m) continue;
+    const bool ok = lu.update(r, w);
+    basic[r] = static_cast<std::int32_t>(q);
+    if (ok) {
+      ++since_factor;
+    } else {
+      EXPECT_TRUE(may_decline) << "seed " << seed << " pivot " << applied;
+      if (!may_decline) return applied;
+      EXPECT_TRUE(lu.factorize(A, n, basic)) << "seed " << seed;
+      since_factor = 0;
+    }
+    ++applied;
+    // One row-eta per update since the last factorization.
+    EXPECT_EQ(lu.eta_count(), since_factor) << "seed " << seed;
+
+    // The updated engine must agree with a from-scratch factorization
+    // of the *current* basis, in both directions.
+    BasisLu fresh;
+    EXPECT_TRUE(fresh.factorize(A, n, basic)) << "seed " << seed << " pivot " << applied;
+    std::vector<double> rhs(m);
+    for (std::size_t i = 0; i < m; ++i) rhs[i] = rng.uniform(-1.0, 1.0);
+    std::vector<double> via_updates = rhs, via_fresh = rhs;
+    lu.ftran(via_updates);
+    fresh.ftran(via_fresh);
+    for (std::size_t i = 0; i < m; ++i)
+      EXPECT_NEAR(via_updates[i], via_fresh[i], tol)
+          << "ftran seed " << seed << " pivot " << applied;
+    via_updates = rhs;
+    via_fresh = rhs;
+    lu.btran(via_updates);
+    fresh.btran(via_fresh);
+    for (std::size_t i = 0; i < m; ++i)
+      EXPECT_NEAR(via_updates[i], via_fresh[i], tol)
+          << "btran seed " << seed << " pivot " << applied;
   }
+  return applied;
 }
 
-TEST(BasisLuFactor, ForrestTomlinAndProductFormAgreeOverHundredPivotChains) {
+TEST(BasisLuFactor, EtaUpdatesStayEquivalentToRefactorizationAcrossPivotChains) {
+  // Short chains on a small basis: every update must be accepted.
+  for (int seed = 0; seed < 8; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 2417 + 7);
+    const std::size_t applied =
+        run_update_chain(rng, 18, 40, 50, 50, 1e-7, 1e-6, false, seed);
+    EXPECT_GT(applied, 10u) << "seed " << seed;
+  }
+  // 100-pivot chains on a wider basis, well past the refactorization
+  // cadence the simplex would impose: the row-eta file and U fill keep
+  // growing, and a declined marginal pivot restarts from fresh factors.
   for (int seed = 0; seed < 4; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 11);
-    const std::size_t m = 24;
-    const std::size_t n = 60;
-    const CscMatrix A = random_csc(rng, m, n);
-    std::vector<std::int32_t> basic(m);
-    for (std::size_t k = 0; k < m; ++k) basic[k] = static_cast<std::int32_t>(n + k);
-
-    BasisLu ft;
-    ft.set_update_kind(BasisUpdateKind::kForrestTomlin);
-    BasisLu pfi;
-    pfi.set_update_kind(BasisUpdateKind::kProductFormEta);
-    ASSERT_TRUE(ft.factorize(A, n, basic));
-    ASSERT_TRUE(pfi.factorize(A, n, basic));
-    ASSERT_EQ(ft.update_kind(), BasisUpdateKind::kForrestTomlin);
-    ASSERT_EQ(pfi.update_kind(), BasisUpdateKind::kProductFormEta);
-
-    std::size_t applied = 0;
-    for (int attempt = 0; attempt < 1000 && applied < 100; ++attempt) {
-      const std::size_t q =
-          static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(n) - 1));
-      bool in_basis = false;
-      for (const std::int32_t b : basic)
-        if (static_cast<std::size_t>(b) == q) in_basis = true;
-      if (in_basis) continue;
-      std::vector<double> column(m, 0.0);
-      for (std::size_t e = A.col_start[q]; e < A.col_start[q + 1]; ++e)
-        column[A.row_index[e]] = A.value[e];
-      std::vector<double> w_ft = column, w_pfi = column;
-      ft.ftran(w_ft);
-      pfi.ftran(w_pfi);
-      for (std::size_t i = 0; i < m; ++i)
-        ASSERT_NEAR(w_ft[i], w_pfi[i], 1e-6)
-            << "ftran seed " << seed << " pivot " << applied;
-      std::size_t r = m;
-      double best = 1e-6;
-      for (std::size_t i = 0; i < m; ++i) {
-        if (std::abs(w_ft[i]) > best) {
-          best = std::abs(w_ft[i]);
-          r = i;
-        }
-      }
-      if (r == m) continue;
-      const bool ok_ft = ft.update(r, w_ft);
-      const bool ok_pfi = pfi.update(r, w_pfi);
-      basic[r] = static_cast<std::int32_t>(q);
-      if (!ok_ft || !ok_pfi) {
-        // A scheme declined a marginal pivot: both restart from a fresh
-        // factorization of the current basis and the chain continues.
-        ASSERT_TRUE(ft.factorize(A, n, basic));
-        ASSERT_TRUE(pfi.factorize(A, n, basic));
-      }
-      ++applied;
-
-      // Both update schemes must agree with each other AND with a
-      // from-scratch factorization of the current basis.
-      BasisLu fresh;
-      ASSERT_TRUE(fresh.factorize(A, n, basic)) << "seed " << seed;
-      std::vector<double> rhs(m);
-      for (std::size_t i = 0; i < m; ++i) rhs[i] = rng.uniform(-1.0, 1.0);
-      std::vector<double> via_ft = rhs, via_pfi = rhs, via_fresh = rhs;
-      ft.ftran(via_ft);
-      pfi.ftran(via_pfi);
-      fresh.ftran(via_fresh);
-      for (std::size_t i = 0; i < m; ++i) {
-        EXPECT_NEAR(via_ft[i], via_fresh[i], 1e-5)
-            << "ft-ftran seed " << seed << " pivot " << applied;
-        EXPECT_NEAR(via_pfi[i], via_fresh[i], 1e-5)
-            << "pfi-ftran seed " << seed << " pivot " << applied;
-      }
-      via_ft = via_pfi = via_fresh = rhs;
-      ft.btran(via_ft);
-      pfi.btran(via_pfi);
-      fresh.btran(via_fresh);
-      for (std::size_t i = 0; i < m; ++i) {
-        EXPECT_NEAR(via_ft[i], via_fresh[i], 1e-5)
-            << "ft-btran seed " << seed << " pivot " << applied;
-        EXPECT_NEAR(via_pfi[i], via_fresh[i], 1e-5)
-            << "pfi-btran seed " << seed << " pivot " << applied;
-      }
-    }
-    ASSERT_GE(applied, 100u) << "seed " << seed;
+    EXPECT_GE(run_update_chain(rng, 24, 60, 1000, 100, 1e-6, 1e-5, true, seed), 100u)
+        << "seed " << seed;
   }
 }
 
@@ -345,33 +288,17 @@ TEST(BasisLuFactor, AdaptiveCadenceScalesWithBasisDimension) {
     std::vector<std::int32_t> basic(m);
     for (std::size_t k = 0; k < m; ++k)
       basic[k] = static_cast<std::int32_t>(m + 4 + k);
-    // Forrest–Tomlin keeps U triangular, so it sustains a longer update
-    // run than the eta file: cadence clamp(m, 64, 512) vs clamp(m/2, 32,
-    // 256).
-    BasisLu ft;
-    ft.set_update_kind(BasisUpdateKind::kForrestTomlin);
-    ASSERT_TRUE(ft.factorize(A, m + 4, basic));
-    EXPECT_GE(ft.refactor_cadence(), 64u);
-    EXPECT_LE(ft.refactor_cadence(), 512u);
-    if (m >= 200) EXPECT_GE(ft.refactor_cadence(), m / 2);
-
-    BasisLu pfi;
-    pfi.set_update_kind(BasisUpdateKind::kProductFormEta);
-    ASSERT_TRUE(pfi.factorize(A, m + 4, basic));
-    EXPECT_GE(pfi.refactor_cadence(), 32u);
-    EXPECT_LE(pfi.refactor_cadence(), 256u);
-    if (m >= 200) EXPECT_GE(pfi.refactor_cadence(), m / 4);
-    EXPECT_LE(pfi.refactor_cadence(), ft.refactor_cadence());
+    // Cadence clamp(m, 64, 512): Forrest–Tomlin keeps U triangular, so
+    // large bases sustain update runs proportional to their dimension.
+    BasisLu lu;
+    ASSERT_TRUE(lu.factorize(A, m + 4, basic));
+    EXPECT_GE(lu.refactor_cadence(), 64u);
+    EXPECT_LE(lu.refactor_cadence(), 512u);
+    if (m >= 200) EXPECT_GE(lu.refactor_cadence(), m / 2);
   }
 }
 
 // ------------------------------------------- revised simplex parity
-
-SimplexOptions options_for(FactorizationKind kind) {
-  SimplexOptions options;
-  options.factorization = kind;
-  return options;
-}
 
 LpProblem random_lp(Rng& rng) {
   const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 10));
@@ -427,107 +354,118 @@ void expect_feasible(const LpProblem& p, const LpSolution& sol, const char* labe
   }
 }
 
+/// The revised simplex against the independent dense-tableau oracle
+/// (lp::SimplexSolver) on one random LP: same status, same optimum, and
+/// both points feasible.
+void expect_matches_dense_tableau(const LpProblem& p, int seed) {
+  RevisedSimplex revised;
+  revised.load(p);
+  const LpSolution a = lp::SimplexSolver().solve(p);
+  const LpSolution b = revised.solve();
+  ASSERT_EQ(a.status, b.status) << "seed " << seed;
+  EXPECT_GT(revised.factor_stats().factorizations, 0u);
+  if (a.status != SolveStatus::kOptimal) return;
+  EXPECT_NEAR(a.objective, b.objective, kTol) << "seed " << seed;
+  expect_feasible(p, a, "dense-tableau");
+  expect_feasible(p, b, "revised");
+}
+
 class FactorizationRandomLp : public ::testing::TestWithParam<int> {};
 
-TEST_P(FactorizationRandomLp, SparseLuAgreesWithDenseInverse) {
+TEST_P(FactorizationRandomLp, RevisedSimplexAgreesWithDenseTableau) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 92821 + 5);
-  const LpProblem p = random_lp(rng);
-  RevisedSimplex dense(options_for(FactorizationKind::kDenseInverse));
-  RevisedSimplex sparse(options_for(FactorizationKind::kSparseLu));
-  dense.load(p);
-  sparse.load(p);
-  const LpSolution a = dense.solve();
-  const LpSolution b = sparse.solve();
-  ASSERT_EQ(a.status, b.status);
-  if (a.status != SolveStatus::kOptimal) return;
-  EXPECT_NEAR(a.objective, b.objective, kTol);
-  expect_feasible(p, a, "dense-inverse");
-  expect_feasible(p, b, "sparse-lu");
-  EXPECT_GT(sparse.factor_stats().factorizations, 0u);
+  expect_matches_dense_tableau(random_lp(rng), GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomLps, FactorizationRandomLp, ::testing::Range(0, 60));
 
 class PricingRandomLp : public ::testing::TestWithParam<int> {};
 
-TEST_P(PricingRandomLp, DevexAndDantzigReachTheSameOptima) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 48611 + 9);
-  const LpProblem p = random_lp(rng);
-  for (const FactorizationKind kind :
-       {FactorizationKind::kDenseInverse, FactorizationKind::kSparseLu}) {
-    SimplexOptions dantzig_options = options_for(kind);
-    dantzig_options.pricing = PricingRule::kDantzig;
-    SimplexOptions devex_options = options_for(kind);
-    devex_options.pricing = PricingRule::kDevex;
-    RevisedSimplex dantzig(dantzig_options);
-    RevisedSimplex devex(devex_options);
-    dantzig.load(p);
-    devex.load(p);
-    const LpSolution a = dantzig.solve();
-    const LpSolution b = devex.solve();
-    ASSERT_EQ(a.status, b.status) << "seed " << GetParam();
-    EXPECT_EQ(dantzig.pricing_resets(), 0u);  // Dantzig never runs the framework
-    if (a.status != SolveStatus::kOptimal) continue;
-    EXPECT_NEAR(a.objective, b.objective, kTol) << "seed " << GetParam();
-    expect_feasible(p, a, "dantzig");
-    expect_feasible(p, b, "devex");
-  }
-}
-
-// The legacy reduced-cost path (per-iteration duals BTRAN + lazy
-// pricing dots, incremental_reduced_costs = false) is kept as the
-// bench's pr5-baseline rung; it must stay a faithful differential
-// twin of the incremental default.
-TEST_P(PricingRandomLp, LegacyReducedCostPathMatchesIncremental) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 76493 + 21);
-  const LpProblem p = random_lp(rng);
-  for (const PricingRule pricing : {PricingRule::kDantzig, PricingRule::kDevex}) {
-    SimplexOptions incr_options = options_for(FactorizationKind::kSparseLu);
-    incr_options.pricing = pricing;
-    SimplexOptions legacy_options = incr_options;
-    legacy_options.incremental_reduced_costs = false;
-    RevisedSimplex incr(incr_options);
-    RevisedSimplex legacy(legacy_options);
-    incr.load(p);
-    legacy.load(p);
-    const LpSolution a = incr.solve();
-    const LpSolution b = legacy.solve();
-    ASSERT_EQ(a.status, b.status) << "seed " << GetParam();
-    if (a.status != SolveStatus::kOptimal) continue;
-    EXPECT_NEAR(a.objective, b.objective, kTol) << "seed " << GetParam();
-    expect_feasible(p, b, "legacy-reduced-costs");
-  }
+// Two more random-LP streams, one per pricing-path concern the revised
+// simplex carries (Devex leaving-row weights, incrementally maintained
+// reduced costs), both checked against the oracle.
+TEST_P(PricingRandomLp, DevexReachesTheDenseTableauOptima) {
+  Rng devex_rng(static_cast<std::uint64_t>(GetParam()) * 48611 + 9);
+  expect_matches_dense_tableau(random_lp(devex_rng), GetParam());
+  Rng reduced_cost_rng(static_cast<std::uint64_t>(GetParam()) * 76493 + 21);
+  expect_matches_dense_tableau(random_lp(reduced_cost_rng), GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomLps, PricingRandomLp, ::testing::Range(0, 60));
 
-TEST(BasisUpdateCounters, FactorStatsAttributeUpdatesToTheActiveScheme) {
+TEST(BasisUpdateCounters, FactorStatsCountForrestTomlinUpdates) {
   std::size_t exercised = 0;
   for (int seed = 0; seed < 20 && exercised < 5; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) * 30103 + 17);
     const LpProblem p = random_lp(rng);
-    SimplexOptions ft_options = options_for(FactorizationKind::kSparseLu);
-    ft_options.basis_update = BasisUpdateKind::kForrestTomlin;
-    SimplexOptions pfi_options = options_for(FactorizationKind::kSparseLu);
-    pfi_options.basis_update = BasisUpdateKind::kProductFormEta;
-    RevisedSimplex ft(ft_options);
-    RevisedSimplex pfi(pfi_options);
-    ft.load(p);
-    pfi.load(p);
-    const LpSolution a = ft.solve();
-    const LpSolution b = pfi.solve();
-    ASSERT_EQ(a.status, b.status) << "seed " << seed;
-    EXPECT_EQ(ft.factor_stats().eta_updates, 0u) << "seed " << seed;
-    EXPECT_EQ(pfi.factor_stats().ft_updates, 0u) << "seed " << seed;
-    EXPECT_EQ(ft.factor_stats().ft_updates, ft.factor_stats().updates);
-    EXPECT_EQ(pfi.factor_stats().eta_updates, pfi.factor_stats().updates);
-    EXPECT_GT(ft.factor_stats().refactor_cadence, 0u);
-    if (ft.factor_stats().updates > 0 && pfi.factor_stats().updates > 0) ++exercised;
+    RevisedSimplex simplex;
+    simplex.load(p);
+    const LpSolution sol = simplex.solve();
+    ASSERT_EQ(sol.status, lp::SimplexSolver().solve(p).status) << "seed " << seed;
+    const lp::BasisFactorStats& stats = simplex.factor_stats();
+    // Every update appends at least its new diagonal to the update file.
+    EXPECT_GE(stats.eta_nonzeros, stats.updates) << "seed " << seed;
+    EXPECT_GT(stats.refactor_cadence, 0u);
+    if (stats.updates > 0) ++exercised;
   }
   EXPECT_GE(exercised, 5u);  // the sweep must hit real update chains
 }
 
-TEST(FactorizationParity, TableauRowsMatchOnTextbookLp) {
+/// Checks every tableau row of `simplex`'s optimal basis for `p` against
+/// a naive dense computation: rho_r solves Bᵀ rho = e_r for the dense
+/// basis matrix B, and alpha_j = rho_r · a_j for each nonbasic column
+/// (structural j: the problem's column; logical n + i: -e_i). The row's
+/// basic value must satisfy the identity at the nonbasic resting bounds.
+void expect_tableau_rows_match_dense_inverse(const LpProblem& p,
+                                             const RevisedSimplex& simplex,
+                                             const std::string& label) {
+  const std::size_t n = p.variable_count();
+  const std::size_t m = p.row_count();
+  std::vector<double> A(m * n, 0.0);  // row-major problem matrix
+  for (std::size_t i = 0; i < m; ++i)
+    for (const LinearTerm& t : p.rows()[i].terms) A[i * n + t.var] += t.coeff;
+  const auto column = [&](std::size_t j, std::size_t i) {
+    return j < n ? A[i * n + j] : (j - n == i ? -1.0 : 0.0);
+  };
+  const lp::SimplexBasis basis = simplex.capture_basis();
+  ASSERT_EQ(basis.basic.size(), m) << label;
+  std::vector<double> B(m * m);
+  std::vector<std::uint8_t> is_basic(n + m, 0);
+  for (std::size_t k = 0; k < m; ++k) {
+    const std::size_t j = static_cast<std::size_t>(basis.basic[k]);
+    is_basic[j] = 1;
+    for (std::size_t i = 0; i < m; ++i) B[i * m + k] = column(j, i);
+  }
+  for (std::size_t r = 0; r < m; ++r) {
+    lp::TableauRow row;
+    ASSERT_TRUE(simplex.tableau_row(r, row)) << label << " row " << r;
+    ASSERT_EQ(row.basic_col, basis.basic[r]) << label << " row " << r;
+    std::vector<double> rho(m, 0.0);
+    rho[r] = 1.0;
+    ASSERT_TRUE(dense_solve(transpose(B, m), m, rho)) << label;
+    std::map<std::size_t, const lp::TableauRow::Entry*> entries;
+    for (const auto& e : row.entries) entries[e.col] = &e;
+    double identity = row.basic_value;
+    for (std::size_t j = 0; j < n + m; ++j) {
+      if (is_basic[j]) {
+        EXPECT_EQ(entries.count(j), 0u) << label << " row " << r << " basic col " << j;
+        continue;
+      }
+      double alpha = 0.0;
+      for (std::size_t i = 0; i < m; ++i) alpha += rho[i] * column(j, i);
+      const auto it = entries.find(j);
+      if (it == entries.end()) {
+        EXPECT_NEAR(alpha, 0.0, 1e-9) << label << " row " << r << " col " << j;
+        continue;
+      }
+      EXPECT_NEAR(it->second->alpha, alpha, 1e-8) << label << " row " << r << " col " << j;
+      identity += alpha * (it->second->at_upper ? it->second->up : it->second->lo);
+    }
+    EXPECT_NEAR(identity, 0.0, 1e-7) << label << " row " << r;
+  }
+}
+
+TEST(FactorizationParity, TableauRowsMatchNaiveDenseInverse) {
   LpProblem p;
   const std::size_t x = p.add_variable(0.0, 10.0, "x");
   const std::size_t y = p.add_variable(0.0, 10.0, "y");
@@ -535,55 +473,44 @@ TEST(FactorizationParity, TableauRowsMatchOnTextbookLp) {
   p.add_row({{x, 3.0}, {y, -1.0}}, RowSense::kGreaterEqual, 0.0);
   p.add_row({{x, 1.0}, {y, -1.0}}, RowSense::kLessEqual, 2.0);
   p.set_objective({{x, 3.0}, {y, 4.0}}, Objective::kMaximize);
+  RevisedSimplex textbook;
+  textbook.load(p);
+  ASSERT_EQ(textbook.solve().status, SolveStatus::kOptimal);
+  expect_tableau_rows_match_dense_inverse(p, textbook, "textbook");
 
-  RevisedSimplex dense(options_for(FactorizationKind::kDenseInverse));
-  RevisedSimplex sparse(options_for(FactorizationKind::kSparseLu));
-  dense.load(p);
-  sparse.load(p);
-  ASSERT_EQ(dense.solve().status, SolveStatus::kOptimal);
-  ASSERT_EQ(sparse.solve().status, SolveStatus::kOptimal);
-
-  for (std::size_t r = 0; r < p.row_count(); ++r) {
-    lp::TableauRow a, b;
-    ASSERT_TRUE(dense.tableau_row(r, a)) << "row " << r;
-    ASSERT_TRUE(sparse.tableau_row(r, b)) << "row " << r;
-    ASSERT_EQ(a.basic_col, b.basic_col) << "row " << r;
-    EXPECT_NEAR(a.basic_value, b.basic_value, 1e-8) << "row " << r;
-    std::map<std::size_t, double> alphas;
-    for (const auto& e : a.entries) alphas[e.col] = e.alpha;
-    ASSERT_EQ(a.entries.size(), b.entries.size()) << "row " << r;
-    for (const auto& e : b.entries) {
-      ASSERT_TRUE(alphas.count(e.col)) << "row " << r << " col " << e.col;
-      EXPECT_NEAR(alphas[e.col], e.alpha, 1e-8) << "row " << r << " col " << e.col;
-    }
+  std::size_t checked = 0;
+  for (int seed = 0; seed < 8; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 92821 + 5);
+    const LpProblem q = random_lp(rng);
+    RevisedSimplex simplex;
+    simplex.load(q);
+    if (simplex.solve().status != SolveStatus::kOptimal) continue;
+    expect_tableau_rows_match_dense_inverse(q, simplex, "seed " + std::to_string(seed));
+    ++checked;
   }
+  EXPECT_GE(checked, 4u);
 }
 
-TEST(FactorizationParity, WarmResolveWorksOnBothEngines) {
+TEST(FactorizationParity, WarmResolveMatchesColdOracle) {
   // The branch & bound move: solve, tighten one box, resolve warm.
-  for (const FactorizationKind kind :
-       {FactorizationKind::kDenseInverse, FactorizationKind::kSparseLu}) {
-    Rng rng(99);
-    const LpProblem p = random_lp(rng);
-    RevisedSimplex simplex(options_for(kind));
-    simplex.load(p);
-    const LpSolution cold = simplex.solve();
-    ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-    const lp::SimplexBasis basis = simplex.capture_basis();
-    simplex.set_bounds(0, p.lower_bound(0), 0.5 * (p.lower_bound(0) + p.upper_bound(0)));
-    const LpSolution warm = simplex.resolve(basis);
-    EXPECT_TRUE(simplex.last_resolve_was_warm()) << lp::factorization_kind_name(kind);
-    // Reference: a cold solve of the tightened problem.
-    LpProblem tightened = p;
-    tightened.set_bounds(0, p.lower_bound(0),
-                         0.5 * (p.lower_bound(0) + p.upper_bound(0)));
-    RevisedSimplex reference(options_for(kind));
-    reference.load(tightened);
-    const LpSolution expect = reference.solve();
-    ASSERT_EQ(warm.status, expect.status) << lp::factorization_kind_name(kind);
-    if (warm.status == SolveStatus::kOptimal)
-      EXPECT_NEAR(warm.objective, expect.objective, kTol);
-  }
+  Rng rng(99);
+  const LpProblem p = random_lp(rng);
+  RevisedSimplex simplex;
+  simplex.load(p);
+  const LpSolution cold = simplex.solve();
+  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+  const lp::SimplexBasis basis = simplex.capture_basis();
+  const double mid = 0.5 * (p.lower_bound(0) + p.upper_bound(0));
+  simplex.set_bounds(0, p.lower_bound(0), mid);
+  const LpSolution warm = simplex.resolve(basis);
+  EXPECT_TRUE(simplex.last_resolve_was_warm());
+  // Reference: the dense-tableau oracle on the tightened problem.
+  LpProblem tightened = p;
+  tightened.set_bounds(0, p.lower_bound(0), mid);
+  const LpSolution expect = lp::SimplexSolver().solve(tightened);
+  ASSERT_EQ(warm.status, expect.status);
+  if (warm.status == SolveStatus::kOptimal)
+    EXPECT_NEAR(warm.objective, expect.objective, kTol);
 }
 
 // ----------------------------------------------- singular-basis recovery
@@ -598,21 +525,17 @@ TEST(SingularBasisRecovery, SingularWarmBasisFallsBackAndIsReported) {
   p.add_row({{x, 2.0}, {y, 4.0}}, RowSense::kLessEqual, 8.0);
   p.set_objective({{x, 1.0}, {y, 1.0}}, Objective::kMaximize);
 
-  for (const FactorizationKind kind :
-       {FactorizationKind::kDenseInverse, FactorizationKind::kSparseLu}) {
-    RevisedSimplex simplex(options_for(kind));
-    simplex.load(p);
-    lp::SimplexBasis degenerate;
-    degenerate.basic = {static_cast<std::int32_t>(x), static_cast<std::int32_t>(y)};
-    // Logicals of <= rows must rest at their (finite) upper bound.
-    degenerate.at_upper = {0, 0, 1, 1};
-    const LpSolution sol = simplex.resolve(degenerate);
-    EXPECT_FALSE(simplex.last_resolve_was_warm()) << lp::factorization_kind_name(kind);
-    ASSERT_EQ(sol.status, SolveStatus::kOptimal) << lp::factorization_kind_name(kind);
-    EXPECT_NEAR(sol.objective, 4.0, kTol) << lp::factorization_kind_name(kind);
-    EXPECT_GE(simplex.factor_stats().singular_recoveries, 1u)
-        << lp::factorization_kind_name(kind);
-  }
+  RevisedSimplex simplex;
+  simplex.load(p);
+  lp::SimplexBasis degenerate;
+  degenerate.basic = {static_cast<std::int32_t>(x), static_cast<std::int32_t>(y)};
+  // Logicals of <= rows must rest at their (finite) upper bound.
+  degenerate.at_upper = {0, 0, 1, 1};
+  const LpSolution sol = simplex.resolve(degenerate);
+  EXPECT_FALSE(simplex.last_resolve_was_warm());
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(sol.objective, 4.0, kTol);
+  EXPECT_GE(simplex.factor_stats().singular_recoveries, 1u);
 }
 
 TEST(SingularBasisRecovery, BackendSurfacesRecoveriesInSolverStats) {
@@ -676,11 +599,11 @@ double forcing_threshold(const nn::Network& net, std::size_t in_n, Rng& rng) {
 }
 
 TEST(FactorizationVerdictParity, FullBatteryAcrossBackendsThreadsAndCuts) {
-  for (const std::uint64_t seed : {31u, 32u}) {
+  for (const std::uint64_t seed : {31u, 32u, 41u, 42u}) {
     Rng rng(seed);
     const std::size_t in_n = 3, hidden = 6;
     const nn::Network net = make_tail_net(rng, in_n, hidden);
-    // One SAFE proof that must branch, one easy UNSAFE query.
+    // One SAFE proof that must branch, one easy UNSAFE query per pair.
     const double threshold = seed % 2 == 0 ? -5.0 : forcing_threshold(net, in_n, rng);
     const verify::VerificationQuery q = tail_query(net, in_n, threshold);
 
@@ -689,77 +612,29 @@ TEST(FactorizationVerdictParity, FullBatteryAcrossBackendsThreadsAndCuts) {
     const verify::VerificationResult reference = verify::TailVerifier(base).verify(q);
     ASSERT_NE(reference.verdict, verify::Verdict::kUnknown) << "seed " << seed;
 
-    for (const FactorizationKind factorization :
-         {FactorizationKind::kDenseInverse, FactorizationKind::kSparseLu}) {
-      for (const LpBackendKind backend :
-           {LpBackendKind::kRevisedBounded, LpBackendKind::kDenseTableau}) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-          for (const std::size_t rounds : {std::size_t{0}, std::size_t{4}}) {
-            verify::TailVerifierOptions options = base;
-            options.milp.lp_options.factorization = factorization;
-            options.milp.backend = backend;
-            options.milp.threads = threads;
-            options.milp.cuts.root_rounds = rounds;
-            const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
-            EXPECT_EQ(r.verdict, reference.verdict)
-                << "seed " << seed << " factorization "
-                << lp::factorization_kind_name(factorization) << " backend "
-                << solver::lp_backend_kind_name(backend) << " threads " << threads
-                << " rounds " << rounds;
-            if (r.verdict == verify::Verdict::kUnsafe)
-              EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
-            if (backend == LpBackendKind::kRevisedBounded) {
-              EXPECT_GT(r.solver_stats.basis_factorizations, 0u) << "seed " << seed;
-              if (factorization == FactorizationKind::kSparseLu &&
-                  r.solver_stats.basis_updates > 0)
-                EXPECT_GT(r.solver_stats.eta_nonzeros, 0u) << "seed " << seed;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(PricingVerdictParity, DevexAndSiblingBatchingPreserveVerdictsAcrossGrid) {
-  for (const std::uint64_t seed : {41u, 42u}) {
-    Rng rng(seed);
-    const std::size_t in_n = 3, hidden = 6;
-    const nn::Network net = make_tail_net(rng, in_n, hidden);
-    const double threshold = seed % 2 == 0 ? -5.0 : forcing_threshold(net, in_n, rng);
-    const verify::VerificationQuery q = tail_query(net, in_n, threshold);
-
-    verify::TailVerifierOptions base;
-    base.milp.max_nodes = 20000;
-    const verify::VerificationResult reference = verify::TailVerifier(base).verify(q);
-    ASSERT_NE(reference.verdict, verify::Verdict::kUnknown) << "seed " << seed;
-
-    for (const PricingRule pricing : {PricingRule::kDantzig, PricingRule::kDevex}) {
-      for (const bool batch : {false, true}) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-          for (const std::size_t rounds : {std::size_t{0}, std::size_t{4}}) {
-            verify::TailVerifierOptions options = base;
-            options.milp.lp_options.pricing = pricing;
-            options.milp.batch_sibling_solves = batch;
-            options.milp.threads = threads;
-            options.milp.cuts.root_rounds = rounds;
-            const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
-            EXPECT_EQ(r.verdict, reference.verdict)
-                << "seed " << seed << " pricing " << lp::pricing_rule_name(pricing)
-                << " batch " << batch << " threads " << threads << " rounds "
-                << rounds;
-            if (r.verdict == verify::Verdict::kUnsafe)
-              EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
-            if (pricing == PricingRule::kDantzig)
-              EXPECT_EQ(r.solver_stats.pricing_resets, 0u) << "seed " << seed;
-            if (!batch)
-              EXPECT_EQ(r.solver_stats.sibling_batches, 0u) << "seed " << seed;
-            else if (r.milp_nodes > 2 && threads == 1 && rounds == 0)
-              // A serial branching search with batching on must have
-              // expanded at least one node through solve_children.
-              EXPECT_GT(r.solver_stats.sibling_batches, 0u)
-                  << "seed " << seed << " nodes " << r.milp_nodes;
-          }
+    for (const LpBackendKind backend :
+         {LpBackendKind::kRevisedBounded, LpBackendKind::kDenseTableau}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        for (const std::size_t rounds : {std::size_t{0}, std::size_t{4}}) {
+          verify::TailVerifierOptions options = base;
+          options.milp.backend = backend;
+          options.milp.threads = threads;
+          options.milp.cuts.root_rounds = rounds;
+          const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
+          EXPECT_EQ(r.verdict, reference.verdict)
+              << "seed " << seed << " backend " << solver::lp_backend_kind_name(backend)
+              << " threads " << threads << " rounds " << rounds;
+          if (r.verdict == verify::Verdict::kUnsafe)
+            EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
+          if (backend != LpBackendKind::kRevisedBounded) continue;
+          EXPECT_GT(r.solver_stats.basis_factorizations, 0u) << "seed " << seed;
+          if (r.solver_stats.basis_updates > 0)
+            EXPECT_GT(r.solver_stats.eta_nonzeros, 0u) << "seed " << seed;
+          // A serial branching search must expand at least one node
+          // through batched sibling re-solves.
+          if (r.milp_nodes > 2 && threads == 1 && rounds == 0)
+            EXPECT_GT(r.solver_stats.sibling_batches, 0u)
+                << "seed " << seed << " nodes " << r.milp_nodes;
         }
       }
     }

@@ -212,19 +212,12 @@ TEST_P(SimplexRandomFeasible, OptimumRespectsAllConstraints) {
   for (std::size_t c = 0; c < n; ++c) interior_obj += objective[c].coeff * interior[c];
   EXPECT_LE(s.objective, interior_obj + kTol);
 
-  // The revised simplex must reproduce the dense-tableau optimum under
-  // both pricing rules (the Devex default and the Dantzig baseline).
-  for (const PricingRule pricing : {PricingRule::kDantzig, PricingRule::kDevex}) {
-    SimplexOptions options;
-    options.pricing = pricing;
-    RevisedSimplex revised(options);
-    revised.load(p);
-    const LpSolution rs = revised.solve();
-    ASSERT_EQ(rs.status, SolveStatus::kOptimal)
-        << "seed " << GetParam() << " pricing " << pricing_rule_name(pricing);
-    EXPECT_NEAR(rs.objective, s.objective, kTol)
-        << "seed " << GetParam() << " pricing " << pricing_rule_name(pricing);
-  }
+  // The revised simplex must reproduce the dense-tableau optimum.
+  RevisedSimplex revised;
+  revised.load(p);
+  const LpSolution rs = revised.solve();
+  ASSERT_EQ(rs.status, SolveStatus::kOptimal) << "seed " << GetParam();
+  EXPECT_NEAR(rs.objective, s.objective, kTol) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomLps, SimplexRandomFeasible, ::testing::Range(0, 25));

@@ -50,7 +50,6 @@ TEST(SimdKernels, DenseKernelsMatchScalarBodies) {
     double dot_simd = 0.0, dot_scalar = 0.0;
     double sum_simd = 0.0, sum_scalar = 0.0;
     std::vector<double> axpy_simd = b, axpy_scalar = b;
-    std::vector<double> ss_simd = a, ss_scalar = a;
     std::vector<double> had_simd = a, had_scalar = a;
     std::vector<double> fma_simd = a, fma_scalar = a;
     std::vector<double> acc_simd = b, acc_scalar = b;
@@ -58,7 +57,6 @@ TEST(SimdKernels, DenseKernelsMatchScalarBodies) {
     dot_simd = simd::dot(a.data(), b.data(), n);
     sum_simd = simd::sum_abs(a.data(), n);
     simd::axpy(0.75, a.data(), axpy_simd.data(), n);
-    simd::scale_shift(ss_simd.data(), -1.25, 0.5, n);
     simd::hadamard(had_simd.data(), b.data(), n);
     simd::hadamard_fma(fma_simd.data(), b.data(), b.data(), n);
     simd::accumulate_abs(a.data(), acc_simd.data(), n);
@@ -67,7 +65,6 @@ TEST(SimdKernels, DenseKernelsMatchScalarBodies) {
       dot_scalar = simd::dot(a.data(), b.data(), n);
       sum_scalar = simd::sum_abs(a.data(), n);
       simd::axpy(0.75, a.data(), axpy_scalar.data(), n);
-      simd::scale_shift(ss_scalar.data(), -1.25, 0.5, n);
       simd::hadamard(had_scalar.data(), b.data(), n);
       simd::hadamard_fma(fma_scalar.data(), b.data(), b.data(), n);
       simd::accumulate_abs(a.data(), acc_scalar.data(), n);
@@ -77,7 +74,6 @@ TEST(SimdKernels, DenseKernelsMatchScalarBodies) {
     EXPECT_NEAR(sum_simd, sum_scalar, 1e-9) << "n " << n;
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(axpy_simd[i], axpy_scalar[i], 1e-12) << "n " << n << " i " << i;
-      EXPECT_NEAR(ss_simd[i], ss_scalar[i], 1e-12) << "n " << n << " i " << i;
       EXPECT_NEAR(had_simd[i], had_scalar[i], 1e-12) << "n " << n << " i " << i;
       EXPECT_NEAR(fma_simd[i], fma_scalar[i], 1e-12) << "n " << n << " i " << i;
       EXPECT_NEAR(acc_simd[i], acc_scalar[i], 1e-12) << "n " << n << " i " << i;
@@ -132,19 +128,15 @@ TEST(SimdKernels, ArgmaxViolationMatchesScalarIncludingTies) {
         }
         w[i] = rng.bernoulli(0.5) ? 1.0 : 4.0;  // exact in binary FP
       }
-      for (const bool devex : {false, true}) {
-        const double* weights = devex ? w.data() : nullptr;
-        const std::size_t vec = simd::argmax_violation(
-            xb.data(), lo.data(), up.data(), weights, 1e-7, n);
-        std::size_t ref = n;
-        {
-          ScopedForceScalar scalar;
-          ref = simd::argmax_violation(xb.data(), lo.data(), up.data(),
-                                       weights, 1e-7, n);
-        }
-        EXPECT_EQ(vec, ref) << "n " << n << " trial " << trial
-                            << " devex " << devex;
+      const std::size_t vec = simd::argmax_violation(
+          xb.data(), lo.data(), up.data(), w.data(), 1e-7, n);
+      std::size_t ref = n;
+      {
+        ScopedForceScalar scalar;
+        ref = simd::argmax_violation(xb.data(), lo.data(), up.data(), w.data(),
+                                     1e-7, n);
       }
+      EXPECT_EQ(vec, ref) << "n " << n << " trial " << trial;
     }
   }
 }
@@ -334,23 +326,18 @@ TEST(SimdSimplexParity, RevisedSimplexOptimaMatchScalarOnRandomLps) {
       objective.push_back({c, rng.uniform(-1.0, 1.0)});
     p.set_objective(objective, lp::Objective::kMinimize);
 
-    for (const lp::FactorizationKind kind :
-         {lp::FactorizationKind::kDenseInverse, lp::FactorizationKind::kSparseLu}) {
-      lp::SimplexOptions options;
-      options.factorization = kind;
-      lp::RevisedSimplex vec(options), sca(options);
-      vec.load(p);
-      sca.load(p);
-      const lp::LpSolution a = vec.solve();
-      lp::LpSolution b;
-      {
-        ScopedForceScalar scalar;
-        b = sca.solve();
-      }
-      ASSERT_EQ(a.status, b.status) << "seed " << seed;
-      if (a.status == lp::SolveStatus::kOptimal)
-        EXPECT_NEAR(a.objective, b.objective, 1e-7) << "seed " << seed;
+    lp::RevisedSimplex vec, sca;
+    vec.load(p);
+    sca.load(p);
+    const lp::LpSolution a = vec.solve();
+    lp::LpSolution b;
+    {
+      ScopedForceScalar scalar;
+      b = sca.solve();
     }
+    ASSERT_EQ(a.status, b.status) << "seed " << seed;
+    if (a.status == lp::SolveStatus::kOptimal)
+      EXPECT_NEAR(a.objective, b.objective, 1e-7) << "seed " << seed;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <limits>
 #include <regex>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/campaign.hpp"
 #include "lp/revised_simplex.hpp"
@@ -119,6 +120,36 @@ TEST(BackendParity, RedundantEqualityRows) {
   p.add_row({{x, 2.0}, {y, 2.0}}, RowSense::kEqual, 8.0);
   p.set_objective({{x, 1.0}}, Objective::kMaximize);
   expect_lp_parity(p, "redundant-equalities");
+}
+
+TEST(BackendParity, NonFiniteOrInvertedBoundsAreRejected) {
+  // Both backends must refuse a box the LP layer cannot represent,
+  // instead of one of them solving an LP with a sentinel-sized bound.
+  constexpr double kInfinity = std::numeric_limits<double>::infinity();
+  const double bad_boxes[][2] = {{-kInfinity, 1.0},
+                                 {0.0, kInfinity},
+                                 {std::numeric_limits<double>::quiet_NaN(), 1.0},
+                                 {2.0, 1.0}};
+  LpProblem p;
+  const std::size_t x = p.add_variable(0.0, 10.0, "x");
+  const std::size_t y = p.add_variable(0.0, 10.0, "y");
+  p.add_row({{x, 1.0}, {y, 1.0}}, RowSense::kGreaterEqual, 3.0);
+  p.set_objective({{x, 1.0}, {y, 1.0}}, Objective::kMinimize);
+  for (const LpBackendKind kind :
+       {LpBackendKind::kDenseTableau, LpBackendKind::kRevisedBounded}) {
+    auto backend = backend_for(kind);
+    backend->load(p);
+    for (const auto& box : bad_boxes)
+      EXPECT_THROW(backend->set_bounds(x, box[0], box[1]), ContractViolation)
+          << solver::lp_backend_kind_name(kind) << " [" << box[0] << ", " << box[1]
+          << "]";
+    EXPECT_THROW(backend->set_bounds(2, 0.0, 1.0), ContractViolation)
+        << solver::lp_backend_kind_name(kind);
+    // The rejected calls left the loaded boxes untouched.
+    const LpSolution s = backend->solve();
+    ASSERT_EQ(s.status, SolveStatus::kOptimal) << solver::lp_backend_kind_name(kind);
+    EXPECT_NEAR(s.objective, 3.0, kTol) << solver::lp_backend_kind_name(kind);
+  }
 }
 
 /// Random box-bounded LPs with a known interior point: both backends must

@@ -6,8 +6,9 @@ Five bench shapes are understood, dispatched on the file's "bench" field
 (a missing or unrecognized kind is a hard error — never a silent
 fallback to the wrong comparison):
 
-  * the LP-core chain (BENCH_simplex.json, "bench": "e5_lp_core"):
-    per-config pivot/node counters plus the headline speedup ratios,
+  * the LP-core axis (BENCH_simplex.json, "bench": "e5_lp_core"): the
+    production LP core against the dense-tableau oracle — per-config
+    pivot/node counters plus the headline speedup ratios,
   * the staged-pipeline funnel (BENCH_funnel.json, "bench": "e2_funnel"):
     per-config funnel counters (attack-falsified / zonotope-proved /
     milp-decided / unknown), the verdict-compatibility and
@@ -37,7 +38,7 @@ speedup *ratios*, which divide out the machine constant.
 A drift beyond --tolerance (default 20%) on any of those fails the run,
 as does a verdict-parity/compatibility break or a headline speedup below
 --min-speedup (default 1.5x, the PR's acceptance bar; applied to the
-widest-tail ratio for the LP chain and the battery ratio for the funnel).
+widest-tail ratio for the LP-core axis and the battery ratio for the funnel).
 
 Usage:
   tools/bench_compare.py build/BENCH_simplex.json \

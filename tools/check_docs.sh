@@ -59,8 +59,8 @@ check_symbol src/solver  "singular_recoveries"
 check_symbol src/solver  "factor_seconds"
 check_symbol src/solver  "pivot_seconds"
 check_symbol src/lp      "TableauRow"
+check_symbol src/lp      "SimplexSolver"
 check_symbol src/lp      "BasisLu"
-check_symbol src/lp      "FactorizationKind"
 check_symbol src/lp      "should_refactorize"
 check_symbol src/lp      "ftran"
 check_symbol src/lp      "btran"
@@ -101,21 +101,10 @@ check_symbol src/verify  "output_functional_range"
 check_symbol src/core    "run_campaign"
 check_symbol src/core    "WorkflowConfig"
 check_symbol src/monitor "DiffMonitor"
-check_symbol src/lp      "BasisUpdateKind"
-check_symbol src/lp      "kForrestTomlin"
-check_symbol src/lp      "kProductFormEta"
 check_symbol src/lp      "refactor_cadence"
-check_symbol src/lp      "PricingRule"
-check_symbol src/lp      "kDevex"
-check_symbol src/lp      "kDantzig"
-check_symbol src/lp      "reuse_matching_basis"
 check_symbol src/lp      "pricing_resets"
-check_symbol src/lp      "incremental_reduced_costs"
 check_symbol src/solver  "solve_children"
-check_symbol src/solver  "ft_updates"
-check_symbol src/solver  "eta_updates"
 check_symbol src/solver  "sibling_batches"
-check_symbol src/milp    "batch_sibling_solves"
 check_symbol src/common  "force_scalar"
 check_symbol src/common  "argmax_violation"
 check_symbol src/common  "sparse_gather_dot"
