@@ -113,6 +113,9 @@ struct DeltaSweep {
   std::size_t bounds_refreshed = 0;
   std::size_t cold_nodes = 0;
   std::size_t delta_nodes = 0;
+  /// Bound-tightening work of the cold path (machine independent).
+  std::size_t cold_tightening_lps = 0;
+  std::size_t cold_tightening_iterations = 0;
   double cold_encode_seconds = 0.0;
   double cold_solve_seconds = 0.0;
   double delta_encode_seconds = 0.0;
@@ -157,6 +160,8 @@ DeltaSweep run_sweep(const std::string& config, const nn::Network& base,
         verify::TailVerifier(battery_options()).verify(q);
     cold_verdicts.push_back(r.verdict);
     sweep.cold_nodes += r.milp_nodes;
+    sweep.cold_tightening_lps += r.encoding.tightening_lps;
+    sweep.cold_tightening_iterations += r.encoding.tightening_iterations;
     sweep.cold_encode_seconds += r.encode_seconds;
     sweep.cold_solve_seconds += r.solve_seconds;
     if (!sweep.cold_verdicts.empty()) sweep.cold_verdicts += ',';
@@ -241,10 +246,12 @@ void emit_delta_json(const std::vector<DeltaSweep>& sweeps) {
                  "\"entries_cold\": %zu, \"cuts_recycled\": %zu, "
                  "\"cuts_dropped\": %zu, \"bounds_refreshed\": %zu, "
                  "\"cold_nodes\": %zu, \"delta_nodes\": %zu, "
+                 "\"cold_tightening_lps\": %zu, \"cold_tightening_iterations\": %zu, "
                  "\"cold_verdicts\": \"%s\", \"delta_verdicts\": \"%s\"}%s\n",
                  s.config.c_str(), s.cold_wall_seconds, s.delta_wall_seconds, fraction,
                  s.entries_exact, s.entries_widened, s.entries_cold, s.cuts_recycled,
                  s.cuts_dropped, s.bounds_refreshed, s.cold_nodes, s.delta_nodes,
+                 s.cold_tightening_lps, s.cold_tightening_iterations,
                  s.cold_verdicts.c_str(), s.delta_verdicts.c_str(),
                  &s == &sweeps.back() ? "" : ",");
   }
@@ -294,9 +301,11 @@ void print_delta_report() {
                 s.cold_wall_seconds > 0.0 ? s.delta_wall_seconds / s.cold_wall_seconds : 0.0,
                 s.entries_exact, s.entries_widened, s.entries_cold, s.cuts_recycled,
                 s.bounds_refreshed, s.compatible ? "yes" : "NO");
-    std::printf("%10s | encode %.3f -> %.3f s, solve %.3f -> %.3f s, nodes %zu -> %zu\n", "",
-                s.cold_encode_seconds, s.delta_encode_seconds, s.cold_solve_seconds,
-                s.delta_solve_seconds, s.cold_nodes, s.delta_nodes);
+    std::printf("%10s | encode %.3f -> %.3f s, solve %.3f -> %.3f s, nodes %zu -> %zu, "
+                "cold tightening %zu LPs / %zu iterations\n",
+                "", s.cold_encode_seconds, s.delta_encode_seconds, s.cold_solve_seconds,
+                s.delta_solve_seconds, s.cold_nodes, s.delta_nodes, s.cold_tightening_lps,
+                s.cold_tightening_iterations);
   }
   emit_delta_json(sweeps);
 }

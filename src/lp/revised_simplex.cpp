@@ -16,6 +16,11 @@ namespace {
 constexpr double kInf = 1e30;
 constexpr double kPrimalTol = 1e-7;
 constexpr double kZeroTol = 1e-9;
+/// Reduced-cost sign tolerance of the primal pricing and the
+/// dual-feasibility test.
+constexpr double kDualTol = 1e-9;
+/// Bound relaxation of the primal Harris ratio test.
+constexpr double kHarrisTol = 1e-9;
 constexpr double kPivotTol = 1e-8;
 /// Devex weights past this trigger a reference-framework restart (all
 /// weights back to 1, counted in pricing_resets()).
@@ -24,6 +29,20 @@ constexpr double kDevexResetCap = 1e10;
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
+
+/// Wall-time split of one pivot loop: refactorize() accumulates
+/// factor_seconds itself; everything else in the loop is pivot time.
+struct PivotTimer {
+  explicit PivotTimer(BasisFactorStats& s)
+      : start(std::chrono::steady_clock::now()), factor_before(s.factor_seconds), stats(s) {}
+  ~PivotTimer() {
+    const double total = seconds_since(start);
+    stats.pivot_seconds += std::max(0.0, total - (stats.factor_seconds - factor_before));
+  }
+  std::chrono::steady_clock::time_point start;
+  double factor_before;
+  BasisFactorStats& stats;
+};
 
 }  // namespace
 
@@ -106,13 +125,7 @@ void RevisedSimplex::load(const LpProblem& problem) {
     }
   }
 
-  cost_.assign(total_, 0.0);
-  objective_sign_ = problem.objective_direction() == Objective::kMinimize ? 1.0 : -1.0;
-  for (const LinearTerm& term : problem.objective_terms())
-    cost_[term.var] += objective_sign_ * term.coeff;
-  all_costs_zero_ = true;
-  for (std::size_t j = 0; j < n_; ++j)
-    if (cost_[j] != 0.0) all_costs_zero_ = false;
+  assign_costs(problem.objective_terms(), problem.objective_direction());
 
   basic_.clear();
   status_.clear();
@@ -130,6 +143,24 @@ void RevisedSimplex::set_bounds(std::size_t var, double lo, double up) {
         "RevisedSimplex::set_bounds: invalid bounds");
   lo_[var] = lo;
   up_[var] = up;
+}
+
+void RevisedSimplex::assign_costs(const std::vector<LinearTerm>& terms, Objective direction) {
+  cost_.assign(total_, 0.0);
+  objective_sign_ = direction == Objective::kMinimize ? 1.0 : -1.0;
+  for (const LinearTerm& term : terms) {
+    check(term.var < n_, "RevisedSimplex: objective references unknown variable");
+    cost_[term.var] += objective_sign_ * term.coeff;
+  }
+  all_costs_zero_ = true;
+  for (std::size_t j = 0; j < n_; ++j)
+    if (cost_[j] != 0.0) all_costs_zero_ = false;
+}
+
+void RevisedSimplex::set_objective(const std::vector<LinearTerm>& terms,
+                                   Objective direction) {
+  assign_costs(terms, direction);
+  dval_valid_ = false;
 }
 
 double RevisedSimplex::nonbasic_value(std::size_t j) const {
@@ -343,18 +374,7 @@ void RevisedSimplex::recompute_reduced_costs() {
 }
 
 void RevisedSimplex::run_dual(LpSolution& solution) {
-  // Wall-time split: refactorize() accumulates factor_seconds itself;
-  // everything else in this loop is pivot time.
-  struct SecondsSplit {
-    std::chrono::steady_clock::time_point start;
-    double factor_before;
-    BasisFactorStats& stats;
-    ~SecondsSplit() {
-      const double total = seconds_since(start);
-      stats.pivot_seconds +=
-          std::max(0.0, total - (stats.factor_seconds - factor_before));
-    }
-  } split{std::chrono::steady_clock::now(), factor_stats_.factor_seconds, factor_stats_};
+  const PivotTimer timer(factor_stats_);
 
   std::vector<double> rho(m_);
   std::vector<double> w(m_);
@@ -602,6 +622,220 @@ void RevisedSimplex::run_dual(LpSolution& solution) {
   }
 }
 
+bool RevisedSimplex::run_primal(LpSolution& solution) {
+  const PivotTimer timer(factor_stats_);
+  std::vector<double> rho(m_);
+  std::vector<double> w(m_);
+  std::vector<std::uint8_t> listed(total_, 0);  // pivot-row dedupe marks
+  std::size_t iterations = 0;
+  std::size_t consecutive_recoveries = 0;
+  // Refactorize-and-retry for drift and non-finite data; false when the
+  // basis proved singular and was crashed to the all-logical one.
+  const auto refactor = [&] {
+    ++iterations;
+    solution.iterations = iterations;
+    if (!refactorize()) {
+      recover_singular_basis();
+      return false;
+    }
+    recompute_basic_values();
+    return true;
+  };
+
+  while (true) {
+    solution.iterations = iterations;
+    if (iterations >= options_.max_iterations) {
+      solution.status = SolveStatus::kIterationLimit;
+      return true;
+    }
+    if ((iterations & 63) == 0 && run_expired(options_.run_control)) {
+      solution.status = SolveStatus::kDeadline;
+      return true;
+    }
+    const bool use_bland = iterations >= options_.bland_after;
+    if (!dval_valid_) recompute_reduced_costs();
+
+    // Pricing (Dantzig): the movable nonbasic column whose reduced cost
+    // improves the objective most in the direction its resting bound
+    // allows. Bland takes the smallest such index instead.
+    // Basic columns carry d = 0 and never pass the gain test, so the
+    // status and box checks only run on candidates (NaN falls through
+    // the gain test to the finiteness check).
+    std::size_t q = total_;
+    double best_gain = kDualTol;
+    bool finite = true;
+    for (std::size_t j = 0; j < total_; ++j) {
+      const double gain = status_[j] == kAtUpper ? dval_[j] : -dval_[j];
+      if (gain <= best_gain) continue;
+      if (!std::isfinite(gain)) {
+        finite = false;
+        continue;
+      }
+      if (status_[j] == kBasic || up_[j] - lo_[j] < kZeroTol) continue;
+      q = j;
+      best_gain = gain;
+      if (use_bland) break;
+    }
+    if (q < total_) {
+      ftran_column(q, w);
+      for (std::size_t r = 0; r < m_ && finite; ++r) finite = std::isfinite(w[r]);
+    } else {
+      for (std::size_t r = 0; r < m_ && finite; ++r) finite = std::isfinite(xb_[r]);
+    }
+    if (!finite) {
+      // NaN fails every comparison above, so poisoned data could pass
+      // for optimality or a harmless ratio: retry from fresh factors,
+      // and after three strikes report no verdict.
+      if (consecutive_recoveries >= 3) {
+        solution.status = SolveStatus::kIterationLimit;
+        return true;
+      }
+      ++consecutive_recoveries;
+      ++factor_stats_.nonfinite_recoveries;
+      if (!refactor()) return false;
+      continue;
+    }
+    if (q == total_) {
+      solution.status = SolveStatus::kOptimal;
+      return true;
+    }
+
+    // x_q moves by dir * theta, the basic values by -dir * theta * w.
+    // Harris pass 1: the longest step keeping every basic value inside
+    // its box widened by the primal tolerance.
+    const double dir = status_[q] == kAtLower ? 1.0 : -1.0;
+    double theta_rows = kInf;
+    for (std::size_t r = 0; r < m_; ++r) {
+      const double delta = -dir * w[r];
+      if (delta < -kPivotTol && blo_[r] > -kInf)
+        theta_rows = std::min(theta_rows, (xb_[r] - blo_[r] + kHarrisTol) / -delta);
+      else if (delta > kPivotTol && bup_[r] < kInf)
+        theta_rows = std::min(theta_rows, (bup_[r] + kHarrisTol - xb_[r]) / delta);
+    }
+    const double flip = up_[q] - lo_[q];
+    if (theta_rows >= kInf && flip >= 0.5 * kInf) {
+      solution.status = SolveStatus::kUnbounded;
+      return true;
+    }
+    if (flip <= theta_rows) {
+      // Bound flip: x_q crosses its whole box before any basic value
+      // blocks it. No basis change, reduced costs unchanged.
+      simd::axpy(-dir * flip, w.data(), xb_.data(), m_);
+      status_[q] = dir > 0.0 ? kAtUpper : kAtLower;
+      ++iterations;
+      consecutive_recoveries = 0;
+      continue;
+    }
+    // Harris pass 2: among the rows blocking within that step, the
+    // largest pivot (Bland: the smallest basic index).
+    std::size_t leave_row = m_;
+    double leave_ratio = 0.0;
+    double leave_abs = 0.0;
+    for (std::size_t r = 0; r < m_; ++r) {
+      const double delta = -dir * w[r];
+      double ratio;
+      if (delta < -kPivotTol && blo_[r] > -kInf)
+        ratio = (xb_[r] - blo_[r]) / -delta;
+      else if (delta > kPivotTol && bup_[r] < kInf)
+        ratio = (bup_[r] - xb_[r]) / delta;
+      else
+        continue;
+      if (ratio > theta_rows) continue;
+      const bool take = use_bland ? leave_row == m_ || basic_[r] < basic_[leave_row]
+                                  : std::abs(w[r]) > leave_abs;
+      if (!take) continue;
+      leave_row = r;
+      leave_ratio = ratio;
+      leave_abs = std::abs(w[r]);
+    }
+    internal_check(leave_row < m_, "RevisedSimplex: primal ratio test found no row");
+    // A basic value already outside its box (within tolerance) gives a
+    // slightly negative step. Taking it as is keeps every basic value
+    // consistent with the nonbasic ones; clamping it to zero would put
+    // the leaving column on its bound without moving the others.
+    const double theta = leave_ratio;
+    const double pivot = w[leave_row];
+
+    // Pivot row for the reduced-cost update, cross-checked against the
+    // FTRAN'd pivot element exactly as in the dual loop. The scatter can
+    // list a column twice (an entry that cancels to exactly zero and is
+    // hit again); the update below must see each column once.
+    btran_unit(leave_row, rho);
+    compute_pivot_row(rho, false);
+    std::size_t kept = 0;
+    for (const std::size_t j : touched_) {
+      if (listed[j]) continue;
+      listed[j] = 1;
+      touched_[kept++] = j;
+    }
+    touched_.resize(kept);
+    for (const std::size_t j : touched_) listed[j] = 0;
+    if (pivots_since_refactor_ > 0 &&
+        std::abs(pivot - alpha_[q]) > 1e-9 + 1e-7 * std::abs(pivot)) {
+      if (!refactor()) return false;
+      continue;
+    }
+
+    const std::size_t leave_var = static_cast<std::size_t>(basic_[leave_row]);
+    const bool leaves_at_lower = -dir * pivot < 0.0;
+    simd::axpy(-dir * theta, w.data(), xb_.data(), m_);
+    xb_[leave_row] = nonbasic_value(q) + dir * theta;
+    if (!all_costs_zero_) {
+      const double theta_d = dval_[q] / pivot;
+      for (const std::size_t j : touched_)
+        if (status_[j] != kBasic) dval_[j] -= theta_d * alpha_[j];
+      dval_[leave_var] = -theta_d;
+      dval_[q] = 0.0;
+    }
+    status_[leave_var] = leaves_at_lower ? kAtLower : kAtUpper;
+    status_[q] = kBasic;
+    basic_[leave_row] = static_cast<std::int32_t>(q);
+    blo_[leave_row] = lo_[q];
+    bup_[leave_row] = up_[q];
+
+    ++iterations;
+    solution.iterations = iterations;
+    const std::size_t eta_before = lu_.eta_file_nonzeros();
+    if (lu_.update(leave_row, w)) {
+      ++factor_stats_.updates;
+      factor_stats_.eta_nonzeros += lu_.eta_file_nonzeros() - eta_before;
+    } else if (!refactorize()) {
+      recover_singular_basis();
+      return false;
+    }
+    ++pivots_since_refactor_;
+    consecutive_recoveries = 0;
+    if (lu_.should_refactorize()) {
+      if (!refactorize()) {
+        recover_singular_basis();
+        return false;
+      }
+      recompute_basic_values();
+    }
+  }
+}
+
+bool RevisedSimplex::primal_feasible() const {
+  for (std::size_t r = 0; r < m_; ++r)
+    if (!(xb_[r] >= blo_[r] - kPrimalTol && xb_[r] <= bup_[r] + kPrimalTol)) return false;
+  return true;
+}
+
+bool RevisedSimplex::dual_feasible() const {
+  for (std::size_t j = 0; j < total_; ++j) {
+    if (status_[j] == kBasic || up_[j] - lo_[j] < kZeroTol) continue;
+    const double d = dval_[j];
+    if (status_[j] == kAtLower ? !(d >= -kDualTol) : !(d <= kDualTol)) return false;
+  }
+  return true;
+}
+
+bool RevisedSimplex::boxes_inverted() const {
+  for (std::size_t j = 0; j < total_; ++j)
+    if (lo_[j] > up_[j] + kPrimalTol) return true;
+  return false;
+}
+
 void RevisedSimplex::extract(LpSolution& solution) const {
   solution.values.assign(n_, 0.0);
   for (std::size_t j = 0; j < n_; ++j)
@@ -624,8 +858,7 @@ LpSolution RevisedSimplex::solve() {
                  "RevisedSimplex::solve before load");
   LpSolution solution;
   // Infeasible boxes are caught before any pivoting.
-  for (std::size_t j = 0; j < total_; ++j) {
-    if (lo_[j] <= up_[j] + kPrimalTol) continue;
+  if (boxes_inverted()) {
     solution.status = SolveStatus::kInfeasible;
     last_solve_iterations_ = 0;  // this call spent no pivots
     return solution;
@@ -639,8 +872,7 @@ LpSolution RevisedSimplex::solve() {
 
 LpSolution RevisedSimplex::resolve(const SimplexBasis& basis) {
   LpSolution solution;
-  for (std::size_t j = 0; j < total_; ++j) {
-    if (lo_[j] <= up_[j] + kPrimalTol) continue;
+  if (boxes_inverted()) {
     solution.status = SolveStatus::kInfeasible;
     last_resolve_was_warm_ = false;
     last_solve_iterations_ = 0;  // this call spent no pivots
@@ -657,6 +889,43 @@ LpSolution RevisedSimplex::resolve(const SimplexBasis& basis) {
     solution = solve();
     solution.iterations += warm_iterations;
   }
+  last_solve_iterations_ = solution.iterations;
+  return solution;
+}
+
+LpSolution RevisedSimplex::reoptimize() {
+  if (basic_.empty() || !lu_.valid()) return solve();
+  LpSolution solution;
+  if (boxes_inverted()) {
+    solution.status = SolveStatus::kInfeasible;
+    last_solve_iterations_ = 0;
+    return solution;
+  }
+  // set_bounds may have moved nonbasic columns (and so the basic
+  // values) since the last pivot; set_objective invalidated the duals.
+  recompute_basic_values();
+  rebuild_basic_bounds();
+  if (!dval_valid_) recompute_reduced_costs();
+  bool need_dual = true;
+  if (primal_feasible()) {
+    const bool kept_basis = run_primal(solution);
+    if (kept_basis && solution.status != SolveStatus::kOptimal) {
+      last_solve_iterations_ = solution.iterations;
+      return solution;
+    }
+    // Primal optimality leaves the basis dual feasible; a crash basis is
+    // dual feasible by construction. Either way the dual simplex repairs
+    // whatever primal infeasibility remains.
+    need_dual = !kept_basis || !primal_feasible();
+  } else if (!dual_feasible()) {
+    return solve();
+  }
+  if (need_dual) {
+    const std::size_t primal_iterations = solution.iterations;
+    run_dual(solution);
+    solution.iterations += primal_iterations;
+  }
+  if (solution.status == SolveStatus::kOptimal) extract(solution);
   last_solve_iterations_ = solution.iterations;
   return solution;
 }

@@ -27,6 +27,14 @@
 // incrementally across pivots. Factors and Devex state survive a warm
 // resolve() whose incoming basis is the one already factorized (the
 // branch-and-bound dive fast path).
+//
+// The one exception to dual-only pivoting is an objective change
+// (set_objective + reoptimize, the bound-tightening pattern): the old
+// optimal basis stays primal feasible but, under the new costs, is in
+// general no longer dual feasible, so the dual simplex would stop at
+// once on a non-optimal vertex. reoptimize() therefore restarts with
+// primal simplex pivots (Dantzig pricing, Harris two-pass ratio test,
+// bound flips) from that basis.
 #pragma once
 
 #include <cstddef>
@@ -73,7 +81,8 @@ struct TableauRow {
 /// Stateful revised simplex over one loaded problem. `load` copies the
 /// problem; `set_bounds` overrides variable boxes in place (the branch &
 /// bound fixings); `solve` runs from the all-logical basis while
-/// `resolve` warm-starts from a caller-supplied basis snapshot.
+/// `resolve` warm-starts from a caller-supplied basis snapshot and
+/// `reoptimize` from the solver's own current basis.
 class RevisedSimplex {
  public:
   explicit RevisedSimplex(SimplexOptions options = {}) : options_(options) {}
@@ -85,6 +94,18 @@ class RevisedSimplex {
   /// finite with lo <= up (ContractViolation otherwise), as for
   /// LpProblem::set_bounds.
   void set_bounds(std::size_t var, double lo, double up);
+
+  /// Replaces the objective in place (same meaning as
+  /// LpProblem::set_objective). The basis and its factors are kept;
+  /// only the reduced costs are invalidated.
+  void set_objective(const std::vector<LinearTerm>& terms, Objective direction);
+
+  /// Re-optimizes from the current basis after set_objective and/or
+  /// set_bounds: primal simplex while the basis is primal feasible, the
+  /// dual simplex when it is only dual feasible, a cold solve() when it
+  /// is neither (or before any solve). kOptimal always means both
+  /// primal and dual feasibility were verified on the returned basis.
+  LpSolution reoptimize();
 
   /// Cold solve from the dual-feasible all-logical basis.
   LpSolution solve();
@@ -153,6 +174,20 @@ class RevisedSimplex {
   void recompute_reduced_costs();
   /// Runs dual simplex to primal feasibility; fills `solution`.
   void run_dual(LpSolution& solution);
+  /// Runs primal simplex from a primal-feasible basis until no reduced
+  /// cost prices out; fills `solution`. Returns false when a singular
+  /// refactorization crashed it to the all-logical basis (dual feasible
+  /// by construction, primal feasible in general not): the caller then
+  /// finishes with run_dual.
+  bool run_primal(LpSolution& solution);
+  /// Basic values within their boxes (up to the primal tolerance).
+  bool primal_feasible() const;
+  /// Reduced costs of the movable nonbasic columns sign-correct for the
+  /// bound each rests at (up to the dual tolerance).
+  bool dual_feasible() const;
+  /// True (the caller reports kInfeasible) when some box is inverted.
+  bool boxes_inverted() const;
+  void assign_costs(const std::vector<LinearTerm>& terms, Objective direction);
   void extract(LpSolution& solution) const;
 
   SimplexOptions options_;

@@ -9,10 +9,10 @@
 #include "absint/linear_bounds.hpp"
 #include "absint/zonotope.hpp"
 #include "common/check.hpp"
-#include "lp/simplex.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/dense.hpp"
+#include "solver/bound_tightening.hpp"
 
 namespace dpv::verify {
 
@@ -157,41 +157,43 @@ class NetworkEncoder {
     return acc;
   }
 
-  /// Optionally tightens [lo, hi] of `var` by solving two LPs on the
-  /// partial relaxation built so far.
-  absint::Interval tighten(std::size_t var, absint::Interval bounds) {
-    if (options_.bounds != BoundMethod::kLpTightening) return bounds;
+  /// With kLpTightening, tightens the fresh variables of the layer just
+  /// encoded (all of its rows already added, the first at `first_row`)
+  /// by min/max LPs over the partial relaxation, and reads the tightened
+  /// boxes back into `bounds`.
+  void tighten(const std::vector<std::size_t>& vars, absint::Box& bounds,
+               std::size_t first_row) {
+    if (options_.bounds != BoundMethod::kLpTightening) return;
     // An injected trace already carries the realized (tightened) boxes;
     // skipping the per-neuron LPs is the whole speedup of trace reuse.
-    if (external_trace_ != nullptr) return bounds;
-    const lp::SimplexSolver solver(options_.lp_options);
+    if (external_trace_ != nullptr) return;
+    // With no rows but this layer's own definitions, the inputs range
+    // over their whole box and every interval bound is attained at a
+    // box vertex: no LP can tighten it.
+    if (first_row == 0) return;
     lp::LpProblem& relaxation = problem_.relaxation();
-    double lo = bounds.lo, hi = bounds.hi;
-    relaxation.set_objective({{var, 1.0}}, lp::Objective::kMinimize);
-    const lp::LpSolution min_sol = solver.solve(relaxation);
-    ++stats_.tightening_lps;
-    if (min_sol.status == lp::SolveStatus::kOptimal) lo = std::max(lo, min_sol.objective - 1e-9);
-    relaxation.set_objective({{var, 1.0}}, lp::Objective::kMaximize);
-    const lp::LpSolution max_sol = solver.solve(relaxation);
-    ++stats_.tightening_lps;
-    if (max_sol.status == lp::SolveStatus::kOptimal) hi = std::min(hi, max_sol.objective + 1e-9);
-    relaxation.set_objective({}, lp::Objective::kMinimize);
-    if (lo > hi) lo = hi;  // numerical guard; keeps the box non-empty
-    relaxation.set_bounds(var, lo, hi);
-    return absint::Interval(lo, hi);
+    const solver::TighteningResult tightened =
+        solver::tighten_bounds(relaxation, vars, options_.lp_options);
+    stats_.tightening_lps += tightened.lps;
+    stats_.tightening_iterations += tightened.iterations;
+    stats_.cut_short = stats_.cut_short || tightened.cut_short;
+    for (std::size_t i = 0; i < vars.size(); ++i)
+      bounds[i] = absint::Interval(relaxation.lower_bound(vars[i]),
+                                   relaxation.upper_bound(vars[i]));
   }
 
   void encode_dense(const nn::Dense& layer, const std::string& tag) {
     const std::size_t out_n = layer.output_shape().numel();
     const std::size_t in_n = layer.input_shape().numel();
     internal_check(vars_.size() == in_n, "encoder: dense input arity mismatch");
+    const std::size_t first_row = problem_.relaxation().row_count();
     std::vector<std::size_t> out_vars(out_n);
     absint::Box out_bounds(out_n);
     std::vector<std::optional<AffineExpr>> out_affine(out_n);
     for (std::size_t r = 0; r < out_n; ++r) {
       std::vector<double> weights(in_n);
       for (std::size_t c = 0; c < in_n; ++c) weights[c] = layer.weight().at2(r, c);
-      absint::Interval iv = affine_interval(weights, layer.bias()[r]);
+      const absint::Interval iv = affine_interval(weights, layer.bias()[r]);
       const std::size_t y =
           problem_.add_variable(milp::VarType::kContinuous, iv.lo, iv.hi,
                                 tag + "_n" + std::to_string(r));
@@ -204,11 +206,11 @@ class NetworkEncoder {
         expr.terms.push_back({vars_[c], weights[c]});
       }
       problem_.add_row(std::move(terms), lp::RowSense::kEqual, layer.bias()[r]);
-      iv = tighten(y, iv);
       out_vars[r] = y;
       out_bounds[r] = iv;
       out_affine[r] = std::move(expr);
     }
+    tighten(out_vars, out_bounds, first_row);
     vars_ = std::move(out_vars);
     bounds_ = std::move(out_bounds);
     affine_ = std::move(out_affine);
@@ -217,19 +219,20 @@ class NetworkEncoder {
   void encode_batchnorm(const nn::BatchNorm& layer, const std::string& tag) {
     const std::size_t n = layer.input_shape().numel();
     internal_check(vars_.size() == n, "encoder: batchnorm input arity mismatch");
+    const std::size_t first_row = problem_.relaxation().row_count();
     std::vector<std::size_t> out_vars(n);
     absint::Box out_bounds(n);
     for (std::size_t i = 0; i < n; ++i) {
       const double a = layer.effective_scale(i);
       const double b = layer.effective_shift(i);
-      absint::Interval iv = absint::shift(absint::scale(bounds_[i], a), b);
+      const absint::Interval iv = absint::shift(absint::scale(bounds_[i], a), b);
       const std::size_t y = problem_.add_variable(milp::VarType::kContinuous, iv.lo, iv.hi,
                                                   tag + "_n" + std::to_string(i));
       problem_.add_row({{y, 1.0}, {vars_[i], -a}}, lp::RowSense::kEqual, b);
-      iv = tighten(y, iv);
       out_vars[i] = y;
       out_bounds[i] = iv;
     }
+    tighten(out_vars, out_bounds, first_row);
     vars_ = std::move(out_vars);
     bounds_ = std::move(out_bounds);
     // Single-variable expansions cannot be split (the triangle row is

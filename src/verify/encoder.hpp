@@ -12,7 +12,8 @@
 //     stable, in which case they are eliminated (encoded linearly),
 //   * bounds come from interval propagation or, optionally, from
 //     per-neuron LP tightening on the partial relaxation (the
-//     abstraction-refinement knob of experiment E7).
+//     abstraction-refinement knob of experiment E7), one warm-started
+//     solver::tighten_bounds pass per layer.
 #pragma once
 
 #include <cstddef>
@@ -79,7 +80,14 @@ struct EncodingStats {
   std::size_t binaries = 0;
   std::size_t variables = 0;
   std::size_t rows = 0;
+  /// kLpTightening work (solver::tighten_bounds): LPs solved and the
+  /// simplex iterations they took.
   std::size_t tightening_lps = 0;
+  std::size_t tightening_iterations = 0;
+  /// LP tightening stopped at `lp_options.run_control`'s deadline. The
+  /// bounds are still sound but looser than a full encode, so such an
+  /// encoding is never published to an EncodingCache.
+  bool cut_short = false;
   /// Wall seconds spent building this problem: a full fresh encode, or —
   /// when `from_cache` — just the stamp-out (base copy + per-query rows).
   double encode_seconds = 0.0;

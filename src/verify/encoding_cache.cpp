@@ -115,15 +115,8 @@ bool same_pairs(const std::vector<PairConstraint>& a, const std::vector<PairCons
 
 SharedTailEncoding::SharedTailEncoding(const VerificationQuery& query,
                                        const EncodeOptions& options)
-    : options_(options),
-      network_(query.network),
-      attach_layer_(query.attach_layer),
-      input_box_(query.input_box),
-      diff_bounds_(query.diff_bounds),
-      pair_bounds_(query.pair_bounds),
-      base_(encode_tail_base(query, options)) {
-  tail_fingerprint_ = tail_fingerprint(*query.network, query.attach_layer);
-}
+    : SharedTailEncoding(query, options,
+                         tail_fingerprint(*query.network, query.attach_layer)) {}
 
 SharedTailEncoding::SharedTailEncoding(const VerificationQuery& query,
                                        const EncodeOptions& options, std::size_t fingerprint)
@@ -134,7 +127,11 @@ SharedTailEncoding::SharedTailEncoding(const VerificationQuery& query,
       input_box_(query.input_box),
       diff_bounds_(query.diff_bounds),
       pair_bounds_(query.pair_bounds),
-      base_(encode_tail_base(query, options)) {}
+      base_(encode_tail_base(query, options)) {
+  // The build's run control is usually a caller's stack-local deadline;
+  // a frozen base must not keep pointing at it.
+  options_.lp_options.run_control = nullptr;
+}
 
 bool SharedTailEncoding::matches(const VerificationQuery& query,
                                  const EncodeOptions& options) const {
@@ -151,7 +148,8 @@ bool SharedTailEncoding::matches(const VerificationQuery& query, const EncodeOpt
          same_pairs(query.pair_bounds, pair_bounds_);
 }
 
-TailEncoding SharedTailEncoding::instantiate(const VerificationQuery& query) const {
+TailEncoding SharedTailEncoding::instantiate(const VerificationQuery& query,
+                                             const RunControl* control) const {
   const auto start = std::chrono::steady_clock::now();
   TailEncoding enc;
   enc.problem = base_.problem;  // copy of the frozen base
@@ -163,7 +161,9 @@ TailEncoding SharedTailEncoding::instantiate(const VerificationQuery& query) con
   enc.stats.from_cache = true;
   enc.stats.reused_variables = base_.stats.variables;
   enc.stats.reused_rows = base_.stats.rows;
-  append_query_rows(enc, query, options_);
+  EncodeOptions options = options_;
+  options.lp_options.run_control = control;
+  append_query_rows(enc, query, options);
   enc.stats.encode_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return enc;
@@ -192,6 +192,9 @@ std::shared_ptr<const SharedTailEncoding> EncodingCache::get_or_build(
   while (!base_encode_seconds_.compare_exchange_weak(
       expected, expected + built->base_encode_seconds(), std::memory_order_relaxed)) {
   }
+  // A deadline-truncated base is sound but looser than the key promises;
+  // it serves this caller only.
+  if (built->base_stats().cut_short) return built;
   auto node = std::make_shared<Node>();
   node->encoding = built;
   std::shared_ptr<const Node> old_head = std::atomic_load(&head_);

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <memory>
 
+#include "common/run_control.hpp"
 #include "verify/encoder.hpp"
 
 namespace dpv::verify {
@@ -62,7 +63,9 @@ class SharedTailEncoding {
   /// Stamps out a full per-query problem: copies the frozen base and
   /// appends the risk rows and (when present) the characterizer.
   /// Bit-identical to encode_tail_query(query, options) on the same key.
-  TailEncoding instantiate(const VerificationQuery& query) const;
+  /// `control` (not owned) bounds the characterizer's LP tightening.
+  TailEncoding instantiate(const VerificationQuery& query,
+                           const RunControl* control = nullptr) const;
 
   const EncodingStats& base_stats() const { return base_.stats; }
   std::size_t base_variables() const { return base_.stats.variables; }
@@ -115,7 +118,9 @@ class EncodingCache {
 
   /// Returns a frozen base serving `query`, building (and publishing)
   /// one on a miss. The returned pointer stays valid for the caller's
-  /// lifetime regardless of later insertions.
+  /// lifetime regardless of later insertions. A base whose LP
+  /// tightening was cut short by `options.lp_options.run_control`
+  /// (EncodingStats::cut_short) is returned but never published.
   std::shared_ptr<const SharedTailEncoding> get_or_build(const VerificationQuery& query,
                                                          const EncodeOptions& options);
 

@@ -9,6 +9,7 @@
 
 #include "common/check.hpp"
 #include "common/fault_inject.hpp"
+#include "solver/bound_tightening.hpp"
 
 namespace dpv::verify {
 
@@ -158,16 +159,19 @@ VerificationResult TailVerifier::verify(const VerificationQuery& query) const {
   // a recoverable per-query fault, not a crash: nothing is half-mutated
   // (the encoding is a local), so the query degrades to an explained
   // UNKNOWN and the campaign carries on.
+  // LP bound tightening polls `control` too (see EncodingStats::cut_short).
   const auto encode_start = std::chrono::steady_clock::now();
+  EncodeOptions encode = options_.encode;
+  encode.lp_options.run_control = control;
   TailEncoding encoding;
   try {
     if (fault::should_fire("verify.encode_alloc")) throw std::bad_alloc();
     if (options_.encoding_cache != nullptr) {
       const std::shared_ptr<const SharedTailEncoding> base =
-          options_.encoding_cache->get_or_build(query, options_.encode);
-      encoding = base->instantiate(query);
+          options_.encoding_cache->get_or_build(query, encode);
+      encoding = base->instantiate(query, control);
     } else {
-      encoding = encode_tail_query(query, options_.encode);
+      encoding = encode_tail_query(query, encode);
     }
   } catch (const std::bad_alloc&) {
     result.encode_seconds =
@@ -183,6 +187,12 @@ VerificationResult TailVerifier::verify(const VerificationQuery& query) const {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - encode_start).count();
   encoding.stats.encode_seconds = result.encode_seconds;
   result.encoding = encoding.stats;
+  if (encoding.stats.cut_short) {
+    result.verdict = Verdict::kUnknown;
+    result.hit_deadline = true;
+    result.note = "deadline expired during LP bound tightening, before the search";
+    return result;
+  }
 
   // ---- Selective per-query bound refresh ----------------------------
   // Re-tighten only the layer-l feature variables' column bounds with
@@ -195,27 +205,9 @@ VerificationResult TailVerifier::verify(const VerificationQuery& query) const {
   // (possibly widened) trace left the entry bounds stale.
   if (options_.refresh_query_bounds && !encoding.input_vars.empty()) {
     const auto refresh_start = std::chrono::steady_clock::now();
-    lp::SimplexOptions refresh_lp = options_.encode.lp_options;
-    refresh_lp.run_control = control;
-    const lp::SimplexSolver refresh_solver(refresh_lp);
-    lp::LpProblem& relaxation = encoding.problem.relaxation();
-    for (const std::size_t var : encoding.input_vars) {
-      if (run_expired(control)) break;
-      double lo = relaxation.lower_bound(var), hi = relaxation.upper_bound(var);
-      const double old_width = hi - lo;
-      relaxation.set_objective({{var, 1.0}}, lp::Objective::kMinimize);
-      const lp::LpSolution min_sol = refresh_solver.solve(relaxation);
-      if (min_sol.status == lp::SolveStatus::kOptimal)
-        lo = std::max(lo, min_sol.objective - 1e-9);
-      relaxation.set_objective({{var, 1.0}}, lp::Objective::kMaximize);
-      const lp::LpSolution max_sol = refresh_solver.solve(relaxation);
-      if (max_sol.status == lp::SolveStatus::kOptimal)
-        hi = std::min(hi, max_sol.objective + 1e-9);
-      if (lo > hi) lo = hi;  // numerical guard; keeps the box non-empty
-      relaxation.set_bounds(var, lo, hi);
-      if (hi - lo < old_width) ++result.refreshed_bounds;
-    }
-    relaxation.set_objective({}, lp::Objective::kMinimize);
+    result.refreshed_bounds = solver::tighten_bounds(encoding.problem.relaxation(),
+                                                     encoding.input_vars, encode.lp_options)
+                                  .narrowed;
     result.refresh_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - refresh_start)
             .count();

@@ -4,6 +4,7 @@
 // worst the answer degrades to an explained UNKNOWN.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -144,6 +145,58 @@ TEST_F(FaultInjectTest, RepeatedNonfiniteFaultsNeverFlipAVerdict) {
     EXPECT_NEAR(s.objective, 36.0, 1e-6);
   }
   EXPECT_NE(s.status, lp::SolveStatus::kUnbounded);
+}
+
+TEST_F(FaultInjectTest, SingularRefactorizationDuringWarmRestartsKeepsOptima) {
+  // An OBBT-style sequence (min x_j, max x_j, tighten, next j) on one
+  // loaded solver: enough primal pivots to reach periodic
+  // refactorizations, three of which are made to "discover" a singular
+  // basis. Each crash to the all-logical basis hands the LP to the dual
+  // simplex, and every optimum must still match the dense oracle.
+  Rng rng(4242);
+  const std::size_t n = 30;
+  lp::LpProblem p;
+  std::vector<double> point(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    p.add_variable(rng.uniform(-3.0, -0.5), rng.uniform(0.5, 3.0));
+    point[i] = rng.uniform(-0.3, 0.3);
+  }
+  for (std::size_t r = 0; r < 40; ++r) {
+    std::vector<lp::LinearTerm> terms;
+    double activity = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (rng.uniform(0.0, 1.0) < 0.8) continue;
+      const double a = rng.uniform(-2.0, 2.0);
+      terms.push_back({c, a});
+      activity += a * point[c];
+    }
+    if (!terms.empty())
+      p.add_row(terms, lp::RowSense::kLessEqual, activity + rng.uniform(0.0, 0.5));
+  }
+  fault::arm("lp.refactor_singular", 1, 3);
+  lp::RevisedSimplex solver;
+  solver.load(p);
+  for (std::size_t j = 0; j < n; ++j) {
+    double lo = p.lower_bound(j), hi = p.upper_bound(j);
+    for (const lp::Objective direction : {lp::Objective::kMinimize, lp::Objective::kMaximize}) {
+      p.set_objective({{j, 1.0}}, direction);
+      const lp::LpSolution oracle = lp::SimplexSolver().solve(p);
+      solver.set_objective({{j, 1.0}}, direction);
+      const lp::LpSolution s = solver.reoptimize();
+      ASSERT_EQ(oracle.status, lp::SolveStatus::kOptimal);
+      ASSERT_EQ(s.status, lp::SolveStatus::kOptimal) << "var " << j;
+      EXPECT_NEAR(s.objective, oracle.objective, 1e-7) << "var " << j;
+      if (direction == lp::Objective::kMinimize)
+        lo = std::max(lo, oracle.objective);
+      else
+        hi = std::min(hi, oracle.objective);
+    }
+    if (lo > hi) lo = hi;
+    p.set_bounds(j, lo, hi);
+    solver.set_bounds(j, lo, hi);
+  }
+  EXPECT_EQ(fault::fires("lp.refactor_singular"), 3u);
+  EXPECT_GE(solver.factor_stats().singular_recoveries, 3u);
 }
 
 // ---------------------------------------------------------------------

@@ -222,5 +222,128 @@ TEST_P(SimplexRandomFeasible, OptimumRespectsAllConstraints) {
 
 INSTANTIATE_TEST_SUITE_P(RandomLps, SimplexRandomFeasible, ::testing::Range(0, 25));
 
+// Warm restart after an objective change (RevisedSimplex::set_objective
+// + reoptimize), in the OBBT pattern: min x_j, max x_j, tighten x_j's
+// box to what the two LPs proved, then on to x_{j+1} — all on one
+// loaded solver. Every objective must match a cold dense-tableau solve
+// of the same LP.
+class WarmObjectiveRestart : public ::testing::TestWithParam<int> {};
+
+TEST_P(WarmObjectiveRestart, ObbtSequenceMatchesDenseOracle) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 9));
+  const std::size_t m = static_cast<std::size_t>(rng.uniform_int(1, 12));
+
+  LpProblem p;
+  std::vector<double> interior(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double lo = rng.uniform(-5.0, 0.0);
+    const double hi = rng.uniform(0.5, 5.0);
+    p.add_variable(lo, hi);
+    interior[i] = rng.uniform(0.25 * lo, 0.25 * hi);
+  }
+  // Rows of every sense through a slack around a known feasible point.
+  for (std::size_t r = 0; r < m; ++r) {
+    std::vector<LinearTerm> terms;
+    double activity = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (rng.uniform(0.0, 1.0) < 0.3) continue;
+      const double a = rng.uniform(-2.0, 2.0);
+      terms.push_back({c, a});
+      activity += a * interior[c];
+    }
+    if (terms.empty()) continue;
+    const double pick = rng.uniform(0.0, 1.0);
+    if (pick < 0.15)
+      p.add_row(terms, RowSense::kEqual, activity);
+    else if (pick < 0.55)
+      p.add_row(terms, RowSense::kGreaterEqual, activity - rng.uniform(0.0, 1.5));
+    else
+      p.add_row(terms, RowSense::kLessEqual, activity + rng.uniform(0.0, 1.5));
+  }
+
+  RevisedSimplex revised;
+  revised.load(p);
+  for (std::size_t j = 0; j < n; ++j) {
+    double lo = p.lower_bound(j), hi = p.upper_bound(j);
+    for (const Objective direction : {Objective::kMinimize, Objective::kMaximize}) {
+      p.set_objective({{j, 1.0}}, direction);
+      const LpSolution oracle = SimplexSolver().solve(p);
+      revised.set_objective({{j, 1.0}}, direction);
+      const LpSolution warm = revised.reoptimize();
+      ASSERT_EQ(oracle.status, SolveStatus::kOptimal) << "seed " << GetParam();
+      ASSERT_EQ(warm.status, SolveStatus::kOptimal) << "seed " << GetParam() << " var " << j;
+      EXPECT_NEAR(warm.objective, oracle.objective, 1e-7)
+          << "seed " << GetParam() << " var " << j
+          << (direction == Objective::kMinimize ? " min" : " max");
+      if (direction == Objective::kMinimize)
+        lo = std::max(lo, oracle.objective);
+      else
+        hi = std::min(hi, oracle.objective);
+    }
+    if (lo > hi) lo = hi;
+    p.set_bounds(j, lo, hi);
+    revised.set_bounds(j, lo, hi);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomLps, WarmObjectiveRestart, ::testing::Range(0, 60));
+
+TEST(WarmObjectiveRestart, StaleVertexIsNotTakenForOptimal) {
+  // min x over x + y <= 10 (x, y in [0, 10]) ends at x = y = 0. That
+  // vertex is still primal feasible for max x but far from optimal
+  // (x = 10): a restart that never prices the new reduced costs would
+  // return the stale objective 0.
+  LpProblem p;
+  const std::size_t x = p.add_variable(0.0, 10.0, "x");
+  const std::size_t y = p.add_variable(0.0, 10.0, "y");
+  p.add_row({{x, 1.0}, {y, 1.0}}, RowSense::kLessEqual, 10.0);
+  p.add_row({{x, 1.0}, {y, -1.0}}, RowSense::kLessEqual, 4.0);
+  RevisedSimplex revised;
+  revised.load(p);
+  revised.set_objective({{x, 1.0}}, Objective::kMinimize);
+  const LpSolution first = revised.reoptimize();
+  ASSERT_EQ(first.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(first.objective, 0.0, kTol);
+
+  revised.set_objective({{x, 1.0}}, Objective::kMaximize);
+  const LpSolution warm = revised.reoptimize();
+  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(warm.objective, 7.0, kTol);  // x - y <= 4 binds with x + y <= 10
+  EXPECT_GT(warm.iterations, 0u);
+  EXPECT_NEAR(warm.values[x], 7.0, kTol);
+  EXPECT_NEAR(warm.values[y], 3.0, kTol);
+
+  // A warm restart on a vertex that is still optimal spends no pivots.
+  const LpSolution again = revised.reoptimize();
+  ASSERT_EQ(again.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(again.objective, 7.0, kTol);
+  EXPECT_EQ(again.iterations, 0u);
+}
+
+TEST(WarmObjectiveRestart, TightenedBoundThatCutsTheVertexFallsBackSoundly) {
+  // After max x (vertex x = 7), shrinking x's box below 7 leaves the
+  // basis primal infeasible; the restart must still reach the optimum.
+  LpProblem p;
+  const std::size_t x = p.add_variable(0.0, 10.0, "x");
+  const std::size_t y = p.add_variable(0.0, 10.0, "y");
+  p.add_row({{x, 1.0}, {y, 1.0}}, RowSense::kLessEqual, 10.0);
+  p.add_row({{x, 1.0}, {y, -1.0}}, RowSense::kLessEqual, 4.0);
+  RevisedSimplex revised;
+  revised.load(p);
+  revised.set_objective({{x, 1.0}}, Objective::kMaximize);
+  ASSERT_EQ(revised.reoptimize().status, SolveStatus::kOptimal);
+  revised.set_bounds(x, 0.0, 5.0);
+  revised.set_objective({{x, 1.0}, {y, 1.0}}, Objective::kMaximize);
+  const LpSolution s = revised.reoptimize();
+  ASSERT_EQ(s.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(s.objective, 10.0, kTol);
+  revised.set_bounds(x, 4.5, 5.0);
+  revised.set_objective({{y, 1.0}}, Objective::kMinimize);
+  const LpSolution t = revised.reoptimize();
+  ASSERT_EQ(t.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(t.objective, 0.5, kTol);  // x >= 4.5 and x - y <= 4 force y >= 0.5
+}
+
 }  // namespace
 }  // namespace dpv::lp

@@ -7,6 +7,7 @@
 // never invent one.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "milp/branch_and_bound.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
+#include "verify/encoding_cache.hpp"
 #include "verify/falsifier.hpp"
 #include "verify/verifier.hpp"
 
@@ -268,6 +270,86 @@ TEST(RunControlVerifier, EveryPollBudgetIsHonest) {
     }
   }
   EXPECT_TRUE(saw_expiry);
+}
+
+/// dense/relu tail of the given width and depth over the full network.
+nn::Network relu_tail(std::size_t width, std::size_t depth, unsigned seed) {
+  Rng rng(seed);
+  nn::Network net;
+  for (std::size_t d = 0; d < depth; ++d) {
+    auto dense = std::make_unique<nn::Dense>(width, width);
+    dense->init_he(rng);
+    net.add(std::move(dense));
+    net.add(std::make_unique<nn::ReLU>(Shape{width}));
+  }
+  auto out = std::make_unique<nn::Dense>(width, 2);
+  out->init_he(rng);
+  net.add(std::move(out));
+  return net;
+}
+
+verify::VerificationQuery tail_query(const nn::Network& net, std::size_t width) {
+  verify::VerificationQuery q;
+  q.network = &net;
+  q.attach_layer = 0;
+  q.input_box = absint::uniform_box(width, -1.0, 1.0);
+  q.risk.output_at_least(0, 2, 1.0);
+  return q;
+}
+
+TEST(RunControlVerifier, LpTighteningStopsAtTheQueryDeadline) {
+  // Per-neuron LP tightening of a 48x3 tail costs far more than the
+  // budget; the deadline must stop it mid-encode, not after it.
+  const nn::Network net = relu_tail(48, 3, 95);
+  verify::TailVerifierOptions options;
+  options.encode.bounds = verify::BoundMethod::kLpTightening;
+  options.time_budget_seconds = 0.02;
+  const auto start = std::chrono::steady_clock::now();
+  const verify::VerificationResult r =
+      verify::TailVerifier(options).verify(tail_query(net, 48));
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_EQ(r.verdict, verify::Verdict::kUnknown);
+  EXPECT_TRUE(r.hit_deadline);
+  EXPECT_TRUE(r.encoding.cut_short);
+  EXPECT_NE(r.note.find("LP bound tightening"), std::string::npos) << r.note;
+  EXPECT_LT(r.encoding.tightening_lps, 2u * (2 * 48 + 2));
+  EXPECT_LT(wall, 1.0);
+}
+
+TEST(RunControlVerifier, CutShortEncodingIsNeverCached) {
+  const nn::Network net = relu_tail(8, 2, 96);
+  const verify::VerificationQuery q = tail_query(net, 8);
+  const auto cache = std::make_shared<verify::EncodingCache>();
+  verify::TailVerifierOptions options;
+  options.encode.bounds = verify::BoundMethod::kLpTightening;
+  options.encoding_cache = cache;
+
+  // Two polls pass the verifier's own checks; the deadline then lands
+  // inside the tightening of the second hidden layer.
+  RunControl rc;
+  rc.set_poll_budget(4);
+  verify::TailVerifierOptions budgeted = options;
+  budgeted.run_control = &rc;
+  const verify::VerificationResult cut = verify::TailVerifier(budgeted).verify(q);
+  EXPECT_EQ(cut.verdict, verify::Verdict::kUnknown);
+  EXPECT_TRUE(cut.hit_deadline);
+  EXPECT_TRUE(cut.encoding.cut_short);
+  EXPECT_EQ(cache->stats().misses, 1u);
+
+  // The truncated base was not published: the next query encodes anew,
+  // solving every tightening LP (two per neuron of the second hidden and
+  // the output layer; the first layer's interval box is already exact),
+  // and only that full base serves later queries.
+  const verify::VerificationResult full = verify::TailVerifier(options).verify(q);
+  EXPECT_NE(full.verdict, verify::Verdict::kUnknown);
+  EXPECT_FALSE(full.encoding.cut_short);
+  EXPECT_EQ(full.encoding.tightening_lps, 2u * (8 + 2));
+  EXPECT_LT(cut.encoding.tightening_lps, full.encoding.tightening_lps);
+  EXPECT_EQ(cache->stats().misses, 2u);
+  const verify::VerificationResult again = verify::TailVerifier(options).verify(q);
+  EXPECT_EQ(again.verdict, full.verdict);
+  EXPECT_EQ(cache->stats().hits, 1u);
 }
 
 TEST(RunControlFalsifier, ExpiredControlReturnsNotFalsified) {

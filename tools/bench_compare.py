@@ -25,8 +25,8 @@ fallback to the wrong comparison):
     maximal-salvage resume must restore at least one completed round)
     and the checkpoint-overhead ceiling the file carries, and
   * delta re-certification (BENCH_delta.json, "bench": "delta"):
-    per-config reuse/cut counters and verdict strings across retrain
-    magnitudes, the cold-vs-delta verdict-compatibility flag, the
+    per-config reuse/cut/tightening counters and verdict strings across
+    retrain magnitudes, the cold-vs-delta verdict-compatibility flag, the
     artifact-reuse floor and the re-certification wall-fraction ceiling
     the file carries (both ratios, so the machine constant divides out).
 
@@ -80,11 +80,13 @@ RESUME_COUNTED = ("cells_total", "cells_certified", "cells_unsafe",
                   "cells_unknown", "rounds", "rounds_restored", "nodes")
 
 # Delta re-certification counters: how each retrain magnitude's entries
-# partitioned by trace reuse, what the cut recycler kept/dropped, and
-# the search-tree sizes. All deterministic for fixed seeds.
+# partitioned by trace reuse, what the cut recycler kept/dropped, the
+# search-tree sizes and the cold path's bound-tightening work (LPs
+# solved, simplex iterations). All deterministic for fixed seeds.
 DELTA_COUNTED = ("entries_exact", "entries_widened", "entries_cold",
                  "cuts_recycled", "cuts_dropped", "bounds_refreshed",
-                 "cold_nodes", "delta_nodes")
+                 "cold_nodes", "delta_nodes",
+                 "cold_tightening_lps", "cold_tightening_iterations")
 
 
 def fail(msg):
@@ -278,7 +280,7 @@ def compare_delta(cur, base, args):
             bv, cv = b.get(key, 0), c.get(key, 0)
             drift = abs(cv - bv) / max(bv, 1)
             status = "ok" if drift <= args.tolerance else "DRIFT"
-            print(f"  {name:>14s} {key:>18s}: {bv:>6} -> {cv:>6} "
+            print(f"  {name:>14s} {key:>26s}: {bv:>6} -> {cv:>6} "
                   f"({drift:+.1%}) {status}")
             if drift > args.tolerance:
                 rc |= fail(f"{name}: {key} drifted {drift:.1%} "

@@ -58,6 +58,12 @@ check_symbol src/solver  "basis_factorizations"
 check_symbol src/solver  "singular_recoveries"
 check_symbol src/solver  "factor_seconds"
 check_symbol src/solver  "pivot_seconds"
+check_symbol src/solver  "tighten_bounds"
+check_symbol src/solver  "TighteningResult"
+check_symbol src/lp      "reoptimize"
+check_symbol src/lp      "set_objective"
+check_symbol src/verify  "tightening_iterations"
+check_symbol src/verify  "cut_short"
 check_symbol src/lp      "TableauRow"
 check_symbol src/lp      "SimplexSolver"
 check_symbol src/lp      "BasisLu"
