@@ -158,20 +158,19 @@ class NetworkEncoder {
   }
 
   /// With kLpTightening, tightens the fresh variables of the layer just
-  /// encoded (all of its rows already added, the first at `first_row`)
-  /// by min/max LPs over the partial relaxation, and reads the tightened
+  /// encoded (its rows, one defining row per variable, already added) by
+  /// min/max LPs over the partial relaxation, and reads the tightened
   /// boxes back into `bounds`.
-  void tighten(const std::vector<std::size_t>& vars, absint::Box& bounds,
-               std::size_t first_row) {
+  void tighten(const std::vector<std::size_t>& vars, absint::Box& bounds) {
     if (options_.bounds != BoundMethod::kLpTightening) return;
     // An injected trace already carries the realized (tightened) boxes;
     // skipping the per-neuron LPs is the whole speedup of trace reuse.
     if (external_trace_ != nullptr) return;
+    lp::LpProblem& relaxation = problem_.relaxation();
     // With no rows but this layer's own definitions, the inputs range
     // over their whole box and every interval bound is attained at a
     // box vertex: no LP can tighten it.
-    if (first_row == 0) return;
-    lp::LpProblem& relaxation = problem_.relaxation();
+    if (relaxation.row_count() == vars.size()) return;
     const solver::TighteningResult tightened =
         solver::tighten_bounds(relaxation, vars, options_.lp_options);
     stats_.tightening_lps += tightened.lps;
@@ -186,7 +185,6 @@ class NetworkEncoder {
     const std::size_t out_n = layer.output_shape().numel();
     const std::size_t in_n = layer.input_shape().numel();
     internal_check(vars_.size() == in_n, "encoder: dense input arity mismatch");
-    const std::size_t first_row = problem_.relaxation().row_count();
     std::vector<std::size_t> out_vars(out_n);
     absint::Box out_bounds(out_n);
     std::vector<std::optional<AffineExpr>> out_affine(out_n);
@@ -210,7 +208,7 @@ class NetworkEncoder {
       out_bounds[r] = iv;
       out_affine[r] = std::move(expr);
     }
-    tighten(out_vars, out_bounds, first_row);
+    tighten(out_vars, out_bounds);
     vars_ = std::move(out_vars);
     bounds_ = std::move(out_bounds);
     affine_ = std::move(out_affine);
@@ -219,7 +217,6 @@ class NetworkEncoder {
   void encode_batchnorm(const nn::BatchNorm& layer, const std::string& tag) {
     const std::size_t n = layer.input_shape().numel();
     internal_check(vars_.size() == n, "encoder: batchnorm input arity mismatch");
-    const std::size_t first_row = problem_.relaxation().row_count();
     std::vector<std::size_t> out_vars(n);
     absint::Box out_bounds(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -232,7 +229,7 @@ class NetworkEncoder {
       out_vars[i] = y;
       out_bounds[i] = iv;
     }
-    tighten(out_vars, out_bounds, first_row);
+    tighten(out_vars, out_bounds);
     vars_ = std::move(out_vars);
     bounds_ = std::move(out_bounds);
     // Single-variable expansions cannot be split (the triangle row is
