@@ -544,7 +544,11 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
   SharedSearch shared;
   search::ParallelFrontier frontier(thread_count, options.search.node_store,
                                     minimize, options.search);
-  frontier.push(0, SearchNode{});  // root: id 0, no fixings, no bound yet
+  SearchNode root;  // id 0, no fixings, no bound yet
+  if (!root_cuts.root_basis.empty())
+    root.parent_basis =
+        std::make_shared<const solver::WarmBasis>(std::move(root_cuts.root_basis));
+  frontier.push(0, std::move(root));
   if (options.cuts.local && root_cuts.cuts_live > 0) {
     // Seed dedup so node-local separation cannot re-add a root cut.
     // (cuts_live, not cuts_added: aging may have removed some again.)

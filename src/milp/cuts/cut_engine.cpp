@@ -313,6 +313,7 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
   }
   report.cuts_live = ages.size();
   report.live_sources = std::move(sources);
+  report.root_basis = std::move(basis);
   report.solver_stats = backend->stats();
   report.warm_rounds = report.solver_stats.warm_hits;
   return report;

@@ -31,6 +31,11 @@ struct RootCutReport {
   bool deadline_expired = false;
   /// LP work spent separating (merged into the search's stats).
   solver::SolverStats solver_stats;
+  /// With `warm_root`: the loop's last basis, fitted to the problem as
+  /// returned (cut logicals padded in, aged-out rows re-indexed away). It
+  /// is dual feasible, so the search's root node re-solves from it
+  /// instead of from scratch. Empty when no basis was captured.
+  solver::WarmBasis root_basis;
   /// Generator provenance of each live cut, aligned with the last
   /// `cuts_live` rows of the problem on return ("relu-split" or
   /// "gomory-mi"). Harvesting reads this so delta re-certification can

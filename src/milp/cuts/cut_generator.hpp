@@ -55,7 +55,8 @@ struct CutOptions {
   /// Warm-start the root separation loop: re-solve each round from the
   /// previous round's optimal basis padded with the new cut rows'
   /// logicals (the dual simplex then only repairs the violated cuts)
-  /// instead of solving the grown row set cold.
+  /// instead of solving the grown row set cold; the search's root node
+  /// starts from the loop's last basis the same way.
   bool warm_root = true;
   /// Age out a root cut after this many consecutive rounds of not being
   /// binding at the separation optimum (0 keeps every cut forever).

@@ -373,6 +373,32 @@ TEST(CutGains, RootCutsNeverGrowAForcedProofTree) {
   EXPECT_EQ(a.summary().find("cuts="), std::string::npos) << a.summary();
 }
 
+TEST(CutGains, RootNodeReSolvesFromTheSeparationBasis) {
+  // After root separation the search's root node starts from the cut
+  // loop's basis (padded with the new cut logicals) instead of from
+  // scratch: same root, fewer pivots.
+  Rng rng(321);
+  const std::size_t in_n = 4, hidden = 8;
+  const nn::Network net = make_tail_net(rng, in_n, hidden);
+  const verify::VerificationQuery q =
+      tail_query(net, in_n, forcing_threshold(net, in_n, rng));
+  const verify::TailEncoding enc = verify::encode_tail_query(q, {});
+
+  milp::BranchAndBoundOptions warm;
+  warm.cuts.root_rounds = 1;
+  warm.max_nodes = 1;  // the root node only
+  milp::BranchAndBoundOptions cold = warm;
+  cold.cuts.warm_root = false;
+  const milp::MilpResult a = milp::BranchAndBoundSolver(warm).solve(enc.problem);
+  const milp::MilpResult b = milp::BranchAndBoundSolver(cold).solve(enc.problem);
+  ASSERT_GT(a.solver_stats.cuts_added, 0u);
+  EXPECT_EQ(a.solver_stats.cuts_added, b.solver_stats.cuts_added);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.nodes_explored, b.nodes_explored);
+  EXPECT_LT(a.lp_iterations, b.lp_iterations);
+  EXPECT_GT(a.solver_stats.warm_hits, b.solver_stats.warm_hits);
+}
+
 // ------------------------------------------------------------- campaign
 
 train::Dataset labelled_cloud(Rng& rng, std::size_t count) {

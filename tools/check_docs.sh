@@ -61,6 +61,7 @@ check_symbol src/solver  "pivot_seconds"
 check_symbol src/solver  "tighten_bounds"
 check_symbol src/solver  "TighteningResult"
 check_symbol src/lp      "reoptimize"
+check_symbol src/milp    "root_basis"
 check_symbol src/lp      "set_objective"
 check_symbol src/verify  "tightening_iterations"
 check_symbol src/verify  "cut_short"
