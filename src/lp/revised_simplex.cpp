@@ -131,6 +131,7 @@ void RevisedSimplex::load(const LpProblem& problem) {
   status_.clear();
   xb_.clear();
   alpha_.assign(total_, 0.0);
+  listed_.assign(total_, 0);
   touched_.clear();
   devex_.clear();
   dval_.clear();
@@ -193,18 +194,29 @@ void RevisedSimplex::ftran_column(std::size_t q, std::vector<double>& w) const {
 }
 
 void RevisedSimplex::compute_pivot_row(const std::vector<double>& rho, bool sort_touched) {
-  for (const std::size_t j : touched_) alpha_[j] = 0.0;
+  for (const std::size_t j : touched_) {
+    alpha_[j] = 0.0;
+    listed_[j] = 0;
+  }
   touched_.clear();
+  // Membership is tracked by mark, not by alpha_[j] != 0: an entry that
+  // cancels to exactly zero and is hit again must not be listed twice,
+  // or the reduced-cost update would apply its step twice.
+  const auto list = [this](std::size_t j) {
+    if (listed_[j]) return;
+    listed_[j] = 1;
+    touched_.push_back(j);
+  };
   for (std::size_t i = 0; i < m_; ++i) {
     const double r = rho[i];
     if (r == 0.0) continue;
     for (std::size_t e = row_start_[i]; e < row_start_[i + 1]; ++e) {
       const std::size_t j = row_col_[e];
-      if (alpha_[j] == 0.0) touched_.push_back(j);
+      list(j);
       alpha_[j] += r * row_val_[e];
     }
     const std::size_t s = n_ + i;
-    if (alpha_[s] == 0.0) touched_.push_back(s);
+    list(s);
     alpha_[s] -= r;
   }
   // Bland's anti-cycling rule wants the smallest eligible index, so give
@@ -626,9 +638,9 @@ bool RevisedSimplex::run_primal(LpSolution& solution) {
   const PivotTimer timer(factor_stats_);
   std::vector<double> rho(m_);
   std::vector<double> w(m_);
-  std::vector<std::uint8_t> listed(total_, 0);  // pivot-row dedupe marks
   std::size_t iterations = 0;
   std::size_t consecutive_recoveries = 0;
+  bool fresh = false;  // dval_ recomputed from duals since the last pivot
   // Refactorize-and-retry for drift and non-finite data; false when the
   // basis proved singular and was crashed to the all-logical one.
   const auto refactor = [&] {
@@ -653,7 +665,10 @@ bool RevisedSimplex::run_primal(LpSolution& solution) {
       return true;
     }
     const bool use_bland = iterations >= options_.bland_after;
-    if (!dval_valid_) recompute_reduced_costs();
+    if (!dval_valid_) {
+      recompute_reduced_costs();
+      fresh = true;
+    }
 
     // Pricing (Dantzig): the movable nonbasic column whose reduced cost
     // improves the objective most in the direction its resting bound
@@ -696,6 +711,12 @@ bool RevisedSimplex::run_primal(LpSolution& solution) {
       continue;
     }
     if (q == total_) {
+      // Incrementally updated reduced costs carry rounding drift: certify
+      // optimality only against reduced costs priced from fresh duals.
+      if (!fresh) {
+        dval_valid_ = false;
+        continue;
+      }
       solution.status = SolveStatus::kOptimal;
       return true;
     }
@@ -757,19 +778,9 @@ bool RevisedSimplex::run_primal(LpSolution& solution) {
     const double pivot = w[leave_row];
 
     // Pivot row for the reduced-cost update, cross-checked against the
-    // FTRAN'd pivot element exactly as in the dual loop. The scatter can
-    // list a column twice (an entry that cancels to exactly zero and is
-    // hit again); the update below must see each column once.
+    // FTRAN'd pivot element exactly as in the dual loop.
     btran_unit(leave_row, rho);
     compute_pivot_row(rho, false);
-    std::size_t kept = 0;
-    for (const std::size_t j : touched_) {
-      if (listed[j]) continue;
-      listed[j] = 1;
-      touched_[kept++] = j;
-    }
-    touched_.resize(kept);
-    for (const std::size_t j : touched_) listed[j] = 0;
     if (pivots_since_refactor_ > 0 &&
         std::abs(pivot - alpha_[q]) > 1e-9 + 1e-7 * std::abs(pivot)) {
       if (!refactor()) return false;
@@ -787,6 +798,7 @@ bool RevisedSimplex::run_primal(LpSolution& solution) {
       dval_[leave_var] = -theta_d;
       dval_[q] = 0.0;
     }
+    fresh = false;
     status_[leave_var] = leaves_at_lower ? kAtLower : kAtUpper;
     status_[q] = kBasic;
     basic_[leave_row] = static_cast<std::int32_t>(q);
@@ -818,15 +830,6 @@ bool RevisedSimplex::run_primal(LpSolution& solution) {
 bool RevisedSimplex::primal_feasible() const {
   for (std::size_t r = 0; r < m_; ++r)
     if (!(xb_[r] >= blo_[r] - kPrimalTol && xb_[r] <= bup_[r] + kPrimalTol)) return false;
-  return true;
-}
-
-bool RevisedSimplex::dual_feasible() const {
-  for (std::size_t j = 0; j < total_; ++j) {
-    if (status_[j] == kBasic || up_[j] - lo_[j] < kZeroTol) continue;
-    const double d = dval_[j];
-    if (status_[j] == kAtLower ? !(d >= -kDualTol) : !(d <= kDualTol)) return false;
-  }
   return true;
 }
 
@@ -894,7 +897,6 @@ LpSolution RevisedSimplex::resolve(const SimplexBasis& basis) {
 }
 
 LpSolution RevisedSimplex::reoptimize() {
-  if (basic_.empty() || !lu_.valid()) return solve();
   LpSolution solution;
   if (boxes_inverted()) {
     solution.status = SolveStatus::kInfeasible;
@@ -903,30 +905,34 @@ LpSolution RevisedSimplex::reoptimize() {
   }
   // set_bounds may have moved nonbasic columns (and so the basic
   // values) since the last pivot; set_objective invalidated the duals.
-  recompute_basic_values();
-  rebuild_basic_bounds();
-  if (!dval_valid_) recompute_reduced_costs();
-  bool need_dual = true;
-  if (primal_feasible()) {
-    const bool kept_basis = run_primal(solution);
-    if (kept_basis && solution.status != SolveStatus::kOptimal) {
-      last_solve_iterations_ = solution.iterations;
-      return solution;
+  bool warm = !basic_.empty() && lu_.valid();
+  if (warm) {
+    recompute_basic_values();
+    rebuild_basic_bounds();
+    warm = primal_feasible();
+  }
+  std::size_t iterations = 0;
+  // Two rounds at most: a singular refactorization inside the primal
+  // loop crashes to the all-logical basis, and only a cold start
+  // continues from there.
+  for (int round = 0; round < 2; ++round) {
+    if (!warm) {
+      reset_to_logical_basis();
+      run_dual(solution);
+      iterations += solution.iterations;
+      if (solution.status != SolveStatus::kOptimal) break;
+      // The dual loop stops on maintained reduced costs; the primal pass
+      // re-prices its vertex from fresh duals before calling it optimal.
+      dval_valid_ = false;
     }
-    // Primal optimality leaves the basis dual feasible; a crash basis is
-    // dual feasible by construction. Either way the dual simplex repairs
-    // whatever primal infeasibility remains.
-    need_dual = !kept_basis || !primal_feasible();
-  } else if (!dual_feasible()) {
-    return solve();
+    warm = run_primal(solution);
+    iterations += solution.iterations;
+    if (warm) break;
+    solution.status = SolveStatus::kIterationLimit;
   }
-  if (need_dual) {
-    const std::size_t primal_iterations = solution.iterations;
-    run_dual(solution);
-    solution.iterations += primal_iterations;
-  }
+  solution.iterations = iterations;
   if (solution.status == SolveStatus::kOptimal) extract(solution);
-  last_solve_iterations_ = solution.iterations;
+  last_solve_iterations_ = iterations;
   return solution;
 }
 

@@ -101,10 +101,11 @@ class RevisedSimplex {
   void set_objective(const std::vector<LinearTerm>& terms, Objective direction);
 
   /// Re-optimizes from the current basis after set_objective and/or
-  /// set_bounds: primal simplex while the basis is primal feasible, the
-  /// dual simplex when it is only dual feasible, a cold solve() when it
-  /// is neither (or before any solve). kOptimal always means both
-  /// primal and dual feasibility were verified on the returned basis.
+  /// set_bounds: primal simplex while the basis is primal feasible,
+  /// otherwise (or before any solve) a cold dual solve followed by a
+  /// primal pass. kOptimal always means the returned basis was checked
+  /// primal feasible and priced optimal against reduced costs recomputed
+  /// from fresh duals.
   LpSolution reoptimize();
 
   /// Cold solve from the dual-feasible all-logical basis.
@@ -175,16 +176,13 @@ class RevisedSimplex {
   /// Runs dual simplex to primal feasibility; fills `solution`.
   void run_dual(LpSolution& solution);
   /// Runs primal simplex from a primal-feasible basis until no reduced
-  /// cost prices out; fills `solution`. Returns false when a singular
-  /// refactorization crashed it to the all-logical basis (dual feasible
-  /// by construction, primal feasible in general not): the caller then
-  /// finishes with run_dual.
+  /// cost prices out, the last pricing always on reduced costs
+  /// recomputed from fresh duals; fills `solution`. Returns false when a
+  /// singular refactorization crashed it to the all-logical basis
+  /// (primal feasible in general not): the caller then starts cold.
   bool run_primal(LpSolution& solution);
   /// Basic values within their boxes (up to the primal tolerance).
   bool primal_feasible() const;
-  /// Reduced costs of the movable nonbasic columns sign-correct for the
-  /// bound each rests at (up to the dual tolerance).
-  bool dual_feasible() const;
   /// True (the caller reports kInfeasible) when some box is inverted.
   bool boxes_inverted() const;
   void assign_costs(const std::vector<LinearTerm>& terms, Objective direction);
@@ -213,9 +211,11 @@ class RevisedSimplex {
   BasisLu lu_;                        ///< basis factorization
   std::vector<double> xb_;            ///< basic values, size m_
   /// Pivot-row pricing scratch: dense alpha over all columns plus the
-  /// indices touched by the last scatter.
+  /// indices touched by the last scatter, each listed once (listed_
+  /// marks membership).
   std::vector<double> alpha_;
   std::vector<std::size_t> touched_;
+  std::vector<std::uint8_t> listed_;
   std::size_t pivots_since_refactor_ = 0;
   bool last_resolve_was_warm_ = false;
   std::size_t last_solve_iterations_ = 0;

@@ -222,6 +222,74 @@ TEST_P(SimplexRandomFeasible, OptimumRespectsAllConstraints) {
 
 INSTANTIATE_TEST_SUITE_P(RandomLps, SimplexRandomFeasible, ::testing::Range(0, 25));
 
+// Pivot rows over +-1 coefficients cancel to exactly zero and are hit
+// again by later rows. Each column must still take its reduced-cost step
+// once per dual pivot: a column listed twice takes it twice, and the
+// dual loop then stops at a vertex that is not optimal. Cold solves and
+// branch-and-bound style warm resolves must match the dense oracle.
+class DualPivotRowCancellation : public ::testing::TestWithParam<int> {};
+
+TEST_P(DualPivotRowCancellation, CancellingRowsMatchDenseOracle) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 11);
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(6, 14));
+  const std::size_t m = static_cast<std::size_t>(rng.uniform_int(6, 14));
+
+  LpProblem p;
+  std::vector<double> interior(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    p.add_variable(-static_cast<double>(rng.uniform_int(1, 4)),
+                   static_cast<double>(rng.uniform_int(1, 4)));
+    interior[i] = static_cast<double>(rng.uniform_int(-1, 1)) * 0.5;
+  }
+  for (std::size_t r = 0; r < m; ++r) {
+    std::vector<LinearTerm> terms;
+    double activity = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (rng.uniform(0.0, 1.0) < 0.25) continue;
+      const double a = rng.uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0;
+      terms.push_back({c, a});
+      activity += a * interior[c];
+    }
+    if (terms.empty()) continue;
+    const double slack = static_cast<double>(rng.uniform_int(0, 2));
+    if (rng.uniform(0.0, 1.0) < 0.5)
+      p.add_row(terms, RowSense::kGreaterEqual, activity - slack);
+    else
+      p.add_row(terms, RowSense::kLessEqual, activity + slack);
+  }
+  std::vector<LinearTerm> objective;
+  for (std::size_t c = 0; c < n; ++c)
+    objective.push_back({c, static_cast<double>(rng.uniform_int(-3, 3))});
+  p.set_objective(objective, Objective::kMinimize);
+
+  RevisedSimplex revised;
+  revised.load(p);
+  const LpSolution cold = revised.solve();
+  const LpSolution oracle = SimplexSolver().solve(p);
+  ASSERT_EQ(oracle.status, SolveStatus::kOptimal) << "seed " << GetParam();
+  ASSERT_EQ(cold.status, SolveStatus::kOptimal) << "seed " << GetParam();
+  EXPECT_NEAR(cold.objective, oracle.objective, 1e-7) << "seed " << GetParam();
+
+  // Branch-and-bound pattern: halve one box, warm-resolve from the
+  // previous optimal basis.
+  for (std::size_t j = 0; j < n; ++j) {
+    const SimplexBasis basis = revised.capture_basis();
+    const double mid = 0.5 * (p.lower_bound(j) + p.upper_bound(j));
+    const double lo = (j % 2 == 0) ? mid : p.lower_bound(j);
+    const double hi = (j % 2 == 0) ? p.upper_bound(j) : mid;
+    p.set_bounds(j, lo, hi);
+    revised.set_bounds(j, lo, hi);
+    const LpSolution warm = revised.resolve(basis);
+    const LpSolution reference = SimplexSolver().solve(p);
+    ASSERT_EQ(warm.status, reference.status) << "seed " << GetParam() << " var " << j;
+    if (reference.status != SolveStatus::kOptimal) break;
+    EXPECT_NEAR(warm.objective, reference.objective, 1e-7)
+        << "seed " << GetParam() << " var " << j;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomLps, DualPivotRowCancellation, ::testing::Range(0, 60));
+
 // Warm restart after an objective change (RevisedSimplex::set_objective
 // + reoptimize), in the OBBT pattern: min x_j, max x_j, tighten x_j's
 // box to what the two LPs proved, then on to x_{j+1} — all on one
