@@ -194,30 +194,36 @@ void RevisedSimplex::ftran_column(std::size_t q, std::vector<double>& w) const {
 }
 
 void RevisedSimplex::compute_pivot_row(const std::vector<double>& rho, bool sort_touched) {
-  for (const std::size_t j : touched_) {
-    alpha_[j] = 0.0;
-    listed_[j] = 0;
-  }
+  for (const std::size_t j : touched_) alpha_[j] = 0.0;
   touched_.clear();
-  // Membership is tracked by mark, not by alpha_[j] != 0: an entry that
-  // cancels to exactly zero and is hit again must not be listed twice,
-  // or the reduced-cost update would apply its step twice.
-  const auto list = [this](std::size_t j) {
-    if (listed_[j]) return;
-    listed_[j] = 1;
-    touched_.push_back(j);
-  };
+  bool cancelled = false;  // some entry summed to exactly zero
   for (std::size_t i = 0; i < m_; ++i) {
     const double r = rho[i];
     if (r == 0.0) continue;
     for (std::size_t e = row_start_[i]; e < row_start_[i + 1]; ++e) {
       const std::size_t j = row_col_[e];
-      list(j);
+      if (alpha_[j] == 0.0) touched_.push_back(j);
       alpha_[j] += r * row_val_[e];
+      cancelled |= alpha_[j] == 0.0;
     }
     const std::size_t s = n_ + i;
-    list(s);
+    if (alpha_[s] == 0.0) touched_.push_back(s);
     alpha_[s] -= r;
+    cancelled |= alpha_[s] == 0.0;
+  }
+  // An entry that cancelled to exactly zero and was hit again by a later
+  // row got listed twice, and the reduced-cost update would apply its
+  // step twice. Cancellation is rare, so the dedupe runs only then
+  // (first occurrence kept, order otherwise unchanged).
+  if (cancelled) {
+    std::size_t kept = 0;
+    for (const std::size_t j : touched_) {
+      if (listed_[j]) continue;
+      listed_[j] = 1;
+      touched_[kept++] = j;
+    }
+    touched_.resize(kept);
+    for (const std::size_t j : touched_) listed_[j] = 0;
   }
   // Bland's anti-cycling rule wants the smallest eligible index, so give
   // it a deterministic ascending scan; the largest-|alpha| ratio test

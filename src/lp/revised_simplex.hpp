@@ -211,8 +211,8 @@ class RevisedSimplex {
   BasisLu lu_;                        ///< basis factorization
   std::vector<double> xb_;            ///< basic values, size m_
   /// Pivot-row pricing scratch: dense alpha over all columns plus the
-  /// indices touched by the last scatter, each listed once (listed_
-  /// marks membership).
+  /// indices touched by the last scatter, each listed once (listed_ is
+  /// the all-zero mark array the dedupe uses).
   std::vector<double> alpha_;
   std::vector<std::size_t> touched_;
   std::vector<std::uint8_t> listed_;
