@@ -26,6 +26,7 @@
 //   lp.btran_nonfinite     BTRAN'd pivot row becomes NaN
 //   verify.encode_alloc    encoding stamp-out throws std::bad_alloc
 //   core.worker_throw      a run_parallel_pass worker throws mid-job
+//   core.prepare_throw     a campaign's shared property preparation throws
 #pragma once
 
 #include <cstddef>

@@ -1,12 +1,20 @@
 #include "core/campaign.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstring>
+#include <exception>
 #include <iomanip>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/check.hpp"
+#include "common/fault_inject.hpp"
 #include "core/checkpoint.hpp"
 #include "core/counterexample_pool.hpp"
 #include "core/parallel_pass.hpp"
@@ -17,21 +25,188 @@ namespace dpv::core {
 
 namespace {
 
+/// Which half of a sample a content comparison looks at.
+using SamplePart = Tensor train::Sample::*;
+constexpr SamplePart kImages = &train::Sample::input;
+constexpr SamplePart kLabels = &train::Sample::target;
+
+/// Digest of one half of a dataset: shapes and value bit patterns, one
+/// 64-bit word at a time.
+std::uint64_t dataset_digest(const train::Dataset& data, SamplePart part) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ data.size();
+  const auto mix = [&h](std::uint64_t word) {
+    h = (h ^ word) * 0x100000001b3ULL;
+    h = (h << 29) | (h >> 35);
+  };
+  for (const train::Sample& s : data.samples()) {
+    const Tensor& t = s.*part;
+    for (const std::size_t d : t.shape().dims()) mix(d);
+    for (const double v : t.data()) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &v, sizeof bits);
+      mix(bits);
+    }
+  }
+  return h;
+}
+
+/// Exact (bit-pattern) equality of one half of two datasets.
+bool same_content(const train::Dataset& a, const train::Dataset& b, SamplePart part) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const Tensor& x = a[i].*part;
+    const Tensor& y = b[i].*part;
+    if (!(x.shape() == y.shape()) ||
+        std::memcmp(x.data().data(), y.data().data(), x.numel() * sizeof(double)) != 0)
+      return false;
+  }
+  return true;
+}
+
+/// Which entries share preparation work, decided by dataset content and
+/// never by `property_name`. A feature group shares the images (training
+/// and validation inputs equal bit for bit): one forward pass to layer l
+/// and one S̃ monitor. A characterizer group is a feature group whose
+/// phi labels (targets) are equal too: one characterizer fit.
+struct PreparationGroups {
+  std::vector<std::size_t> feature_group;        ///< per entry
+  std::vector<std::size_t> characterizer_group;  ///< per entry
+  std::vector<std::uint64_t> digest;             ///< per entry: images + labels
+  std::size_t feature_groups = 0;
+  std::size_t characterizer_groups = 0;
+};
+
+PreparationGroups group_entries(const std::vector<CampaignEntry>& entries) {
+  const std::size_t n = entries.size();
+  PreparationGroups g;
+  g.feature_group.resize(n);
+  g.characterizer_group.resize(n);
+  g.digest.resize(n);
+  std::vector<std::size_t> feature_rep, characterizer_rep;  // first entry of each group
+  std::vector<std::uint64_t> image_digest;                  // per feature group
+  for (std::size_t i = 0; i < n; ++i) {
+    const CampaignEntry& e = entries[i];
+    std::size_t f = 0;
+    while (f < feature_rep.size() &&
+           !(same_content(e.property_train, entries[feature_rep[f]].property_train, kImages) &&
+             same_content(e.property_val, entries[feature_rep[f]].property_val, kImages)))
+      ++f;
+    if (f == feature_rep.size()) {
+      feature_rep.push_back(i);
+      ConfigHasher h;
+      h.add(dataset_digest(e.property_train, kImages));
+      h.add(dataset_digest(e.property_val, kImages));
+      image_digest.push_back(h.hash());
+    }
+    std::size_t c = 0;
+    while (c < characterizer_rep.size() &&
+           !(g.feature_group[characterizer_rep[c]] == f &&
+             same_content(e.property_train, entries[characterizer_rep[c]].property_train,
+                          kLabels) &&
+             same_content(e.property_val, entries[characterizer_rep[c]].property_val, kLabels)))
+      ++c;
+    if (c == characterizer_rep.size()) characterizer_rep.push_back(i);
+    g.feature_group[i] = f;
+    g.characterizer_group[i] = c;
+    ConfigHasher h;
+    h.add(image_digest[f]);
+    h.add(dataset_digest(e.property_train, kLabels));
+    h.add(dataset_digest(e.property_val, kLabels));
+    g.digest[i] = h.hash();
+  }
+  g.feature_groups = feature_rep.size();
+  g.characterizer_groups = characterizer_rep.size();
+  return g;
+}
+
+/// A value computed once by whichever job asks first; concurrent askers
+/// block until it is ready. A throwing computation is recorded and
+/// rethrown to every asker, so a failed preparation fails each job that
+/// waited on it instead of hanging them.
+template <class T>
+class SharedOnce {
+ public:
+  template <class Make>
+  const T& get(Make&& make) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!started_) {
+      started_ = true;
+      lock.unlock();
+      std::optional<T> value;
+      std::exception_ptr error;
+      try {
+        value.emplace(make());
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      value_ = std::move(value);
+      error_ = error;
+      done_ = true;
+      ready_.notify_all();
+    } else {
+      ready_.wait(lock, [this] { return done_; });
+    }
+    if (error_) std::rethrow_exception(error_);
+    return *value_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable ready_;
+  bool started_ = false;
+  bool done_ = false;
+  std::optional<T> value_;
+  std::exception_ptr error_;
+};
+
+/// Reorders a pass's (entry, budget) jobs so the first job of every
+/// characterizer group comes first: workers claim in list order, so the
+/// distinct preparations start concurrently and the rest find them
+/// ready (or in progress). Stable within both halves. The retry pass
+/// skips this: the first pass has normally prepared its groups.
+void representatives_first(std::vector<std::pair<std::size_t, std::size_t>>& jobs,
+                           const PreparationGroups& groups) {
+  std::vector<char> seen(groups.characterizer_groups, 0);
+  std::vector<char> first(jobs.size(), 0);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    char& s = seen[groups.characterizer_group[jobs[j].first]];
+    first[j] = !s;
+    s = 1;
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> ordered;
+  ordered.reserve(jobs.size());
+  for (const bool want : {true, false})
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+      if (static_cast<bool>(first[j]) == want) ordered.push_back(jobs[j]);
+  jobs = std::move(ordered);
+}
+
 /// Hash of every semantics-affecting campaign option plus the entry
-/// identities — what a checkpoint must match before its records may be
-/// trusted. Thread counts and caching flags are deliberately excluded:
-/// they change wall time, never verdicts. The delta-reuse fields are
+/// identities (names, dataset digests and risk inequalities) — what a
+/// checkpoint must match before its records may be trusted. Thread
+/// counts and caching flags are deliberately excluded: they change wall
+/// time, never verdicts. The delta-reuse fields are
 /// excluded for the same reason — every reuse class is
 /// verdict-preserving by construction, so a delta run may resume a cold
 /// run's checkpoint and vice versa.
 std::size_t campaign_config_hash(const std::vector<CampaignEntry>& entries,
+                                 const PreparationGroups& groups,
                                  const WorkflowConfig& config) {
   ConfigHasher h;
   h.add(std::string("campaign"));
   h.add(static_cast<std::uint64_t>(entries.size()));
-  for (const CampaignEntry& e : entries) {
-    h.add(e.property_name);
-    h.add(e.risk.name());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    h.add(entries[i].property_name);
+    h.add(entries[i].risk.name());
+    h.add(groups.digest[i]);
+    h.add(static_cast<std::uint64_t>(entries[i].risk.inequalities().size()));
+    for (const verify::OutputInequality& q : entries[i].risk.inequalities()) {
+      h.add(static_cast<std::uint64_t>(q.coeffs.size()));
+      for (const double c : q.coeffs) h.add(c);
+      h.add(static_cast<std::uint64_t>(q.sense));
+      h.add(q.rhs);
+    }
   }
   h.add(config.min_separability);
   h.add(static_cast<std::uint64_t>(config.entry_node_budget));
@@ -207,6 +382,9 @@ std::string CampaignReport::format_encoding_summary() const {
           << delta_refresh_seconds << "s";
   }
   if (delta_artifacts_saved) out << "; delta artifact bundle saved";
+  if (characterizers_trained > 0 || feature_images > 0)
+    out << "; preparation: " << characterizers_trained << " characterizers trained, "
+        << feature_images << " images forwarded to layer l";
   return out.str();
 }
 
@@ -268,15 +446,18 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
   std::vector<verify::QueryArtifacts> harvests(harvesting ? entries.size() : 0);
 
   // Checkpoint identity: the network fingerprint pins the weights, the
-  // config hash pins every semantics-affecting option. Only the first
-  // pass is recorded — the retry pass is a pure function of first-pass
-  // results, so a resumed run re-derives it bit-identically.
+  // config hash pins every semantics-affecting option and every entry's
+  // data (the content digests the preparation grouping computes, plus
+  // the risk inequalities). Only the first pass is recorded — the retry
+  // pass is a pure function of first-pass results, so a resumed run
+  // re-derives it bit-identically.
+  const PreparationGroups groups = group_entries(entries);
   const bool checkpointing = !config.checkpoint_path.empty();
   std::size_t fingerprint = 0;
   std::size_t config_hash = 0;
   if (checkpointing) {
     fingerprint = verify::tail_fingerprint(perception, 0);
-    config_hash = campaign_config_hash(entries, config);
+    config_hash = campaign_config_hash(entries, groups, config);
   }
 
   // Entries are independent (each workflow run seeds its own RNGs from
@@ -315,6 +496,34 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
     }
   }
 
+  // Per-property preparation, shared across risks: the first job of a
+  // feature group forwards its images to layer l and builds S̃, the first
+  // job of a characterizer group fits h_l^phi on those features, and
+  // every other job of the group waits for (or finds) the result. Both
+  // passes draw on the same slots, so a budget retry prepares nothing.
+  // Preparation is lazy: a group whose entries were all restored from a
+  // checkpoint is never prepared.
+  std::vector<SharedOnce<std::shared_ptr<const PropertyFeatures>>> feature_slots(
+      groups.feature_groups);
+  std::vector<SharedOnce<PreparedProperty>> characterizer_slots(groups.characterizer_groups);
+  std::atomic<std::size_t> characterizers_trained{0};
+  std::atomic<std::size_t> feature_images{0};
+  const auto prepared_property = [&](std::size_t i) -> const PreparedProperty& {
+    const CampaignEntry& e = entries[i];
+    return characterizer_slots[groups.characterizer_group[i]].get([&] {
+      if (fault::should_fire("core.prepare_throw"))
+        throw std::runtime_error("fault injection: core.prepare_throw");
+      std::shared_ptr<const PropertyFeatures> features =
+          feature_slots[groups.feature_group[i]].get([&] {
+            feature_images += e.property_train.size() + e.property_val.size();
+            return workflow.extract_features(e.property_train, e.property_val, entry_config);
+          });
+      ++characterizers_trained;
+      return workflow.prepare(e.property_train, e.property_val, std::move(features),
+                              entry_config);
+    });
+  };
+
   // `job_done[j]` is set by the worker as its job's last action; the
   // pass join gives the happens-before, so after a pass (even one cut
   // short by a deadline or a fault) the main thread knows exactly which
@@ -350,8 +559,8 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
           }
           if (have_previous || harvesting) ag.delta_query_key = entry_query_key(i);
           if (harvesting) ag.delta_harvest = &harvests[i];
-          results[i] = workflow.run(entries[i].property_name, entries[i].property_train,
-                                    entries[i].property_val, entries[i].risk, job_config);
+          results[i] = workflow.run(entries[i].property_name, prepared_property(i),
+                                    entries[i].risk, job_config);
           job_done[j] = 1;
         },
         pass_options);
@@ -375,6 +584,7 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
   first_pass.reserve(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i)
     if (!settled[i]) first_pass.emplace_back(i, 0);
+  representatives_first(first_pass, groups);
   try {
     run_pass(first_pass);
   } catch (const ParallelPassError&) {
@@ -608,6 +818,8 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
   // top-level fields for report readers; one accumulation source).
   report.cuts_added = report.solver_totals.cuts_added;
   report.cut_rounds = report.solver_totals.cut_rounds;
+  report.characterizers_trained = characterizers_trained;
+  report.feature_images = feature_images;
   return report;
 }
 

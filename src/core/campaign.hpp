@@ -106,6 +106,16 @@ struct CampaignReport {
   /// next-generation bundle was written.
   bool delta_artifacts_saved = false;
 
+  /// Per-property preparation accounting: characterizer fits actually
+  /// run and images actually forwarded to layer l by this call. Each
+  /// distinct property dataset is prepared once and shared by all of its
+  /// risks and by the budget retry pass, so on a battery of P distinct
+  /// labellings over one image set these read P and (train + val) images
+  /// rather than one fit and one forward pass per entry. Zero for entries
+  /// restored from a checkpoint.
+  std::size_t characterizers_trained = 0;
+  std::size_t feature_images = 0;
+
   /// Full solver accounting merged across entries via
   /// solver::SolverStats::merge — warm starts, basis-factorization work
   /// (factorizations, eta updates + nonzeros, singular recoveries) and
@@ -142,6 +152,19 @@ struct CampaignReport {
 /// contributed back between passes — never from inside a worker — so the
 /// seed material every job sees is a pure function of entry index and
 /// prior-pass results, keeping tables bit-identical across thread counts.
+///
+/// Each distinct property is prepared once (SafetyWorkflow::prepare) and
+/// shared by every entry over the same data, in both passes. Entries are
+/// grouped by dataset content, never by name: equal training and
+/// validation images share one forward pass to layer l and one S̃
+/// monitor, and equal labels on top share one characterizer fit. Tables
+/// are bit-identical to running each entry alone, so sharing is always
+/// on. Preparation happens inside the entry jobs (first job of a group
+/// prepares, the others wait), so a pass still has one job per entry; if
+/// the preparing job throws, every job waiting on it rethrows. Entry
+/// dataset digests are part of the checkpoint identity: a battery
+/// relabelled or regenerated under the same names does not resume an
+/// old checkpoint.
 CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_layer,
                             const std::vector<CampaignEntry>& entries,
                             const WorkflowConfig& config);

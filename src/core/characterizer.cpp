@@ -22,14 +22,15 @@ TrainedCharacterizer train_characterizer(const nn::Network& perception,
                                          const train::Dataset& labelled_images,
                                          const train::Dataset& validation_images,
                                          const CharacterizerConfig& config) {
-  check(!labelled_images.empty(), "train_characterizer: empty training set");
+  return train_characterizer_on_features(
+      to_feature_dataset(perception, attach_layer, labelled_images),
+      to_feature_dataset(perception, attach_layer, validation_images), config);
+}
 
-  const train::Dataset train_features =
-      to_feature_dataset(perception, attach_layer, labelled_images);
-  const train::Dataset val_features =
-      validation_images.empty()
-          ? train::Dataset{}
-          : to_feature_dataset(perception, attach_layer, validation_images);
+TrainedCharacterizer train_characterizer_on_features(const train::Dataset& train_features,
+                                                     const train::Dataset& val_features,
+                                                     const CharacterizerConfig& config) {
+  check(!train_features.empty(), "train_characterizer: empty training set");
 
   const std::size_t feature_n = train_features[0].input.numel();
   Rng init_rng(config.init_seed);

@@ -56,6 +56,15 @@ TrainedCharacterizer train_characterizer(const nn::Network& perception,
                                          const train::Dataset& validation_images,
                                          const CharacterizerConfig& config);
 
+/// Feature-level core of train_characterizer: fits on layer-l feature
+/// datasets (feature -> {0,1}) that were already forwarded through the
+/// perception prefix, so several risks (or a whole campaign) can share
+/// one forward pass. `val_features` may be empty. Same result as
+/// train_characterizer on the images those features came from.
+TrainedCharacterizer train_characterizer_on_features(const train::Dataset& train_features,
+                                                     const train::Dataset& val_features,
+                                                     const CharacterizerConfig& config);
+
 /// The feature-space dataset used internally (exposed for tests/benches).
 train::Dataset to_feature_dataset(const nn::Network& perception, std::size_t attach_layer,
                                   const train::Dataset& labelled_images);

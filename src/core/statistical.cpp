@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "core/characterizer.hpp"
 
 namespace dpv::core {
 
@@ -39,11 +40,16 @@ std::string TableOneEstimate::format() const {
 TableOneEstimate estimate_table_one(const nn::Network& perception, std::size_t attach_layer,
                                     const nn::Network& characterizer,
                                     const train::Dataset& labelled_images) {
-  check(!labelled_images.empty(), "estimate_table_one: empty dataset");
+  return estimate_table_one_on_features(
+      characterizer, to_feature_dataset(perception, attach_layer, labelled_images));
+}
+
+TableOneEstimate estimate_table_one_on_features(const nn::Network& characterizer,
+                                                const train::Dataset& labelled_features) {
+  check(!labelled_features.empty(), "estimate_table_one: empty dataset");
   TableOneEstimate estimate;
-  for (const train::Sample& s : labelled_images.samples()) {
-    const Tensor features = perception.forward_prefix(s.input, attach_layer);
-    const Tensor logit = characterizer.forward(features);
+  for (const train::Sample& s : labelled_features.samples()) {
+    const Tensor logit = characterizer.forward(s.input);
     const bool predicted = logit[0] >= 0.0;
     const bool actual = s.target[0] >= 0.5;
     if (predicted && actual)

@@ -56,4 +56,11 @@ TableOneEstimate estimate_table_one(const nn::Network& perception, std::size_t a
                                     const nn::Network& characterizer,
                                     const train::Dataset& labelled_images);
 
+/// Feature-level core of estimate_table_one: tallies Table I over
+/// layer-l features already forwarded from the labelled images
+/// (feature -> {0,1} oracle truth). Same counts as estimate_table_one on
+/// those images.
+TableOneEstimate estimate_table_one_on_features(const nn::Network& characterizer,
+                                                const train::Dataset& labelled_features);
+
 }  // namespace dpv::core

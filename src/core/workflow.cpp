@@ -43,23 +43,85 @@ SafetyWorkflow::SafetyWorkflow(const nn::Network& perception, std::size_t attach
         "SafetyWorkflow: layer-l features must be a rank-1 vector");
 }
 
+std::shared_ptr<const PropertyFeatures> SafetyWorkflow::extract_features(
+    const train::Dataset& property_train, const train::Dataset& property_val,
+    const WorkflowConfig& config) const {
+  check(!property_train.empty(), "SafetyWorkflow: empty property training set");
+  check(!property_val.empty(), "SafetyWorkflow: empty property validation set");
+  const auto forward_all = [this](const train::Dataset& images) {
+    std::vector<Tensor> out;
+    out.reserve(images.size());
+    for (const train::Sample& s : images.samples())
+      out.push_back(perception_.forward_prefix(s.input, attach_layer_));
+    return out;
+  };
+  auto features = std::make_shared<PropertyFeatures>();
+  features->train = forward_all(property_train);
+  features->val = forward_all(property_val);
+  // S̃ from the ODD training features (the paper's footnote-1 static
+  // analysis over [0,1]^d0 needs none).
+  if (config.assume_guarantee.bounds != BoundsSource::kStaticAnalysis) {
+    features->monitor_margin = config.assume_guarantee.monitor_margin;
+    features->monitor =
+        monitor::DiffMonitor::from_activations(features->train, features->monitor_margin);
+  }
+  features->witness_start = property_train[0].input;
+  return features;
+}
+
+namespace {
+
+/// Pairs cached layer-l features with one property's phi labels.
+train::Dataset label_features(const std::vector<Tensor>& features,
+                              const train::Dataset& labelled_images) {
+  check(features.size() == labelled_images.size(),
+        "SafetyWorkflow::prepare: features do not match the image set");
+  train::Dataset labelled;
+  for (std::size_t i = 0; i < features.size(); ++i)
+    labelled.add(features[i], labelled_images[i].target);
+  return labelled;
+}
+
+}  // namespace
+
+PreparedProperty SafetyWorkflow::prepare(const train::Dataset& property_train,
+                                         const train::Dataset& property_val,
+                                         std::shared_ptr<const PropertyFeatures> features,
+                                         const WorkflowConfig& config) const {
+  check(features != nullptr, "SafetyWorkflow::prepare: null features");
+  PreparedProperty prepared;
+  prepared.val_features = label_features(features->val, property_val);
+  // 1. Specification: learn h_l^phi.
+  prepared.characterizer = train_characterizer_on_features(
+      label_features(features->train, property_train), prepared.val_features,
+      config.characterizer);
+  prepared.characterizer_usable =
+      prepared.characterizer.separability() >= config.min_separability;
+  prepared.features = std::move(features);
+  return prepared;
+}
+
+PreparedProperty SafetyWorkflow::prepare(const train::Dataset& property_train,
+                                         const train::Dataset& property_val,
+                                         const WorkflowConfig& config) const {
+  return prepare(property_train, property_val,
+                 extract_features(property_train, property_val, config), config);
+}
+
 WorkflowReport SafetyWorkflow::run(const std::string& property_name,
-                                   const train::Dataset& property_train,
-                                   const train::Dataset& property_val,
+                                   const PreparedProperty& property,
                                    const verify::RiskSpec& risk,
                                    const WorkflowConfig& config) const {
-  check(!property_train.empty(), "SafetyWorkflow::run: empty property training set");
-  check(!property_val.empty(), "SafetyWorkflow::run: empty property validation set");
+  check(property.features != nullptr, "SafetyWorkflow::run: property was not prepared");
+  const PropertyFeatures& features = *property.features;
 
   WorkflowReport report;
   report.property_name = property_name;
   report.risk_name = risk.name().empty() ? "(unnamed risk)" : risk.name();
-
-  // 1. Specification: learn h_l^phi.
-  report.characterizer = train_characterizer(perception_, attach_layer_, property_train,
-                                             property_val, config.characterizer);
-  report.characterizer_usable =
-      report.characterizer.separability() >= config.min_separability;
+  report.characterizer = {property.characterizer.network.clone(),
+                          property.characterizer.train_confusion,
+                          property.characterizer.validation_confusion};
+  report.characterizer_usable = property.characterizer_usable;
 
   // 2. Scalability: assume-guarantee verification over S̃ (or, when
   // configured for static analysis, over the normalized pixel box [0,1]^d0
@@ -67,11 +129,18 @@ WorkflowReport SafetyWorkflow::run(const std::string& property_name,
   AssumeGuaranteeConfig ag_config = config.assume_guarantee;
   if (config.falsify_first) ag_config.verifier.falsify.enabled = true;
   const AssumeGuaranteeVerifier verifier(ag_config);
-  absint::Box input_box;
-  if (config.assume_guarantee.bounds == BoundsSource::kStaticAnalysis)
-    input_box = absint::uniform_box(perception_.input_shape().numel(), 0.0, 1.0);
-  report.safety = verifier.verify(perception_, attach_layer_, &report.characterizer.network,
-                                  risk, property_train.inputs(), input_box);
+  if (config.assume_guarantee.bounds == BoundsSource::kStaticAnalysis) {
+    report.safety = verifier.verify(
+        perception_, attach_layer_, &report.characterizer.network, risk, {},
+        absint::uniform_box(perception_.input_shape().numel(), 0.0, 1.0));
+  } else {
+    check(features.monitor.has_value() &&
+              features.monitor_margin == config.assume_guarantee.monitor_margin,
+          "SafetyWorkflow::run: property was prepared for another bounds source or margin");
+    report.safety = verifier.verify_with_monitor(perception_, attach_layer_,
+                                                 &report.characterizer.network, risk,
+                                                 *features.monitor);
+  }
 
   // Optional: pull the activation-space witness back into input space by
   // gradient search from an ODD image (best-effort; never changes the
@@ -80,16 +149,24 @@ WorkflowReport SafetyWorkflow::run(const std::string& property_name,
       report.safety.verification.counterexample_activation.numel() > 0) {
     const train::ConcretizationResult conc = train::concretize_activation(
         perception_, attach_layer_, report.safety.verification.counterexample_activation,
-        property_train.inputs().front());
+        features.witness_start);
     report.have_input_witness = true;
     report.input_witness = conc.input;
     report.input_witness_distance = conc.distance;
   }
 
   // 3. Statistics: Table I on held-out data.
-  report.table_one = estimate_table_one(perception_, attach_layer_,
-                                        report.characterizer.network, property_val);
+  report.table_one =
+      estimate_table_one_on_features(report.characterizer.network, property.val_features);
   return report;
+}
+
+WorkflowReport SafetyWorkflow::run(const std::string& property_name,
+                                   const train::Dataset& property_train,
+                                   const train::Dataset& property_val,
+                                   const verify::RiskSpec& risk,
+                                   const WorkflowConfig& config) const {
+  return run(property_name, prepare(property_train, property_val, config), risk, config);
 }
 
 }  // namespace dpv::core

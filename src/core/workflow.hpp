@@ -10,10 +10,17 @@
 //      statistical guarantee (Sec. III),
 // and returns a single report combining verdict, counterexample (if any),
 // monitor, characterizer quality and statistical strength.
+//
+// Steps 1 and the S̃ half of step 2 belong to the input property phi, not
+// to the risk: `prepare` does them once (one forward pass of the images
+// to layer l, one characterizer fit, one monitor), and `run` pairs the
+// prepared property with any number of risks psi.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/run_control.hpp"
 #include "core/assume_guarantee.hpp"
@@ -33,7 +40,11 @@ struct WorkflowConfig {
   double min_separability = 0.75;
   /// Worker pool size for run_campaign (<= 1: serial). Entries are
   /// independent and deterministically seeded, so reports are
-  /// bit-identical across thread counts; only wall time changes.
+  /// bit-identical across thread counts; only wall time changes. The
+  /// pool also prepares each distinct property once (layer-l features,
+  /// characterizer, S̃ monitor) and shares it across that property's
+  /// risks; group representatives are scheduled first so the distinct
+  /// characterizer fits run concurrently (see run_campaign).
   std::size_t campaign_threads = 1;
   /// Per-entry MILP node budget applied by run_campaign on top of the
   /// verifier configuration (0 = keep assume_guarantee.verifier.milp
@@ -146,13 +157,67 @@ struct WorkflowReport {
   std::string to_string() const;
 };
 
+/// Layer-l view of one (training, validation) image pair: the features
+/// every property labelled on these images shares, and the S̃ monitor
+/// induced by the training features. Depends on the images only, never
+/// on their labels.
+struct PropertyFeatures {
+  std::vector<Tensor> train;  ///< f^(l)(in) per training image, in order
+  std::vector<Tensor> val;    ///< f^(l)(in) per validation image, in order
+  /// S̃ built from `train` with `monitor_margin` baked in; set only for
+  /// monitor bounds sources (static analysis needs no monitor).
+  std::optional<monitor::DiffMonitor> monitor;
+  double monitor_margin = 0.0;
+  /// First training image: the start point of `concretize_witnesses`.
+  Tensor witness_start;
+};
+
+/// Everything the verification of one input property needs that does
+/// not depend on the risk: its layer-l features (shared, possibly with
+/// other properties over the same images), the trained characterizer
+/// h_l^phi and the labelled validation features Table I is tallied on.
+struct PreparedProperty {
+  std::shared_ptr<const PropertyFeatures> features;
+  TrainedCharacterizer characterizer;
+  bool characterizer_usable = false;
+  train::Dataset val_features;  ///< layer-l feature -> {0,1} oracle label
+};
+
 class SafetyWorkflow {
  public:
   /// `perception` must outlive the workflow. `attach_layer` is the cut
   /// depth l (feature width = input of layer l).
   SafetyWorkflow(const nn::Network& perception, std::size_t attach_layer);
 
-  /// Runs the full pipeline.
+  /// Forwards the training and validation images to layer l once and,
+  /// for monitor bounds sources, builds S̃ from the training features
+  /// (the monitor record_activations + DiffMonitor::from_activations
+  /// would give). Labels are ignored.
+  std::shared_ptr<const PropertyFeatures> extract_features(const train::Dataset& property_train,
+                                                           const train::Dataset& property_val,
+                                                           const WorkflowConfig& config) const;
+
+  /// Specification step over already-extracted `features` of these
+  /// images: labels them with the datasets' phi targets and trains the
+  /// characterizer. `features` must come from extract_features on
+  /// datasets with the same images.
+  PreparedProperty prepare(const train::Dataset& property_train,
+                           const train::Dataset& property_val,
+                           std::shared_ptr<const PropertyFeatures> features,
+                           const WorkflowConfig& config) const;
+
+  /// extract_features + prepare.
+  PreparedProperty prepare(const train::Dataset& property_train,
+                           const train::Dataset& property_val,
+                           const WorkflowConfig& config) const;
+
+  /// Verification and Table I for one risk against a prepared property.
+  /// `config` must carry the bounds source, monitor margin and
+  /// characterizer settings `property` was prepared under.
+  WorkflowReport run(const std::string& property_name, const PreparedProperty& property,
+                     const verify::RiskSpec& risk, const WorkflowConfig& config) const;
+
+  /// Runs the full pipeline: run(property_name, prepare(...), risk, config).
   ///
   /// `property_train` / `property_val`: image -> {0,1} datasets labelled
   /// by the phi oracle. `risk`: the undesired output region psi. The

@@ -419,6 +419,54 @@ TEST(CampaignResume, MismatchedConfigOrNetworkThrows) {
   EXPECT_THROW(run_campaign(other_net, 2, tb.entries, cont), ContractViolation);
 }
 
+TEST(CampaignResume, RelabelledDatasetUnderTheSameNameThrows) {
+  // The checkpoint identity covers dataset content, not just names: a
+  // battery whose property data was relabelled (or regenerated) under
+  // the same property and risk names must not inherit the old verdicts.
+  const CampaignTestbed& tb = campaign_testbed();
+  const std::string path = temp_path("ckpt_campaign_relabelled");
+  WorkflowConfig with_ckpt = base_config();
+  with_ckpt.checkpoint_path = path;
+  ASSERT_FALSE(run_campaign(tb.net, 2, tb.entries, with_ckpt).interrupted);
+
+  std::vector<CampaignEntry> relabelled = tb.entries;
+  train::Dataset flipped;
+  for (std::size_t i = 0; i < relabelled[1].property_train.size(); ++i) {
+    const train::Sample& s = relabelled[1].property_train[i];
+    flipped.add(s.input, i == 0 ? Tensor::vector1d({1.0 - s.target[0]}) : s.target);
+  }
+  relabelled[1].property_train = flipped;
+
+  WorkflowConfig cont = base_config();
+  cont.checkpoint_path = path;
+  cont.resume = true;
+  EXPECT_THROW(run_campaign(tb.net, 2, relabelled, cont), ContractViolation);
+  // The unchanged battery still resumes as a no-op.
+  EXPECT_EQ(run_campaign(tb.net, 2, tb.entries, cont).resume_entries_restored,
+            tb.entries.size());
+}
+
+TEST(CampaignResume, RedefinedRiskUnderTheSameNameThrows) {
+  // Same for the risk: a region redefined under its old name (here the
+  // unreachable "far-out" becomes reachable) must not resume the stale
+  // SAFE verdict.
+  const CampaignTestbed& tb = campaign_testbed();
+  const std::string path = temp_path("ckpt_campaign_redefined_risk");
+  WorkflowConfig with_ckpt = base_config();
+  with_ckpt.checkpoint_path = path;
+  ASSERT_FALSE(run_campaign(tb.net, 2, tb.entries, with_ckpt).interrupted);
+
+  std::vector<CampaignEntry> redefined = tb.entries;
+  verify::RiskSpec reachable(tb.entries[0].risk.name());
+  reachable.output_at_most(0, 1, 1e6);
+  redefined[0].risk = reachable;
+
+  WorkflowConfig cont = base_config();
+  cont.checkpoint_path = path;
+  cont.resume = true;
+  EXPECT_THROW(run_campaign(tb.net, 2, redefined, cont), ContractViolation);
+}
+
 TEST(CampaignResume, ResumeWithoutACheckpointRunsFresh) {
   const CampaignTestbed& tb = campaign_testbed();
   WorkflowConfig cont = base_config();

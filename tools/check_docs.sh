@@ -191,6 +191,14 @@ check_symbol src/milp    "initial_cuts"
 check_symbol src/milp    "cuts_recycled"
 check_symbol src/core    "delta_artifacts_out_path"
 check_symbol src/core    "delta_entries_widened"
+check_symbol src/core    "PreparedProperty"
+check_symbol src/core    "PropertyFeatures"
+check_symbol src/core    "extract_features"
+check_symbol src/core    "train_characterizer_on_features"
+check_symbol src/core    "estimate_table_one_on_features"
+check_symbol src/core    "characterizers_trained"
+check_symbol src/core    "feature_images"
+check_symbol src/core    "prepare_throw"
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED"
