@@ -62,6 +62,15 @@ struct AssumeGuaranteeConfig {
   verify::QueryArtifacts* delta_harvest = nullptr;
 };
 
+/// Verifier options with the staged falsify-then-prove pipeline on: the
+/// default of campaigns (WorkflowConfig) and coverage runs
+/// (CoverageOptions). The verify-level default keeps it off.
+inline verify::TailVerifierOptions staged_verifier_options() {
+  verify::TailVerifierOptions options;
+  options.falsify.enabled = true;
+  return options;
+}
+
 /// One attempted step of a verification ladder — an escalation rung
 /// (src/core/escalation.hpp) or a stage of the staged falsify-then-prove
 /// pipeline — with its verdict and cost. Campaign reports aggregate the

@@ -165,16 +165,15 @@ class SharedOnce {
 /// distinct preparations start concurrently and the rest find them
 /// ready (or in progress). Stable within both halves. The retry pass
 /// skips this: the first pass has normally prepared its groups.
-void representatives_first(std::vector<std::pair<std::size_t, std::size_t>>& jobs,
-                           const PreparationGroups& groups) {
+void representatives_first(std::vector<BudgetedJob>& jobs, const PreparationGroups& groups) {
   std::vector<char> seen(groups.characterizer_groups, 0);
   std::vector<char> first(jobs.size(), 0);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    char& s = seen[groups.characterizer_group[jobs[j].first]];
+    char& s = seen[groups.characterizer_group[jobs[j].item]];
     first[j] = !s;
     s = 1;
   }
-  std::vector<std::pair<std::size_t, std::size_t>> ordered;
+  std::vector<BudgetedJob> ordered;
   ordered.reserve(jobs.size());
   for (const bool want : {true, false})
     for (std::size_t j = 0; j < jobs.size(); ++j)
@@ -210,8 +209,10 @@ std::size_t campaign_config_hash(const std::vector<CampaignEntry>& entries,
   }
   h.add(config.min_separability);
   h.add(static_cast<std::uint64_t>(config.entry_node_budget));
-  h.add(config.reallocate_node_budget);
-  h.add(config.falsify_first);
+  // The slots of the retired always-on budget re-allocation switch and
+  // of the staged-pipeline switch, kept so existing checkpoints resume.
+  h.add(true);
+  h.add(config.assume_guarantee.verifier.falsify.enabled);
   h.add(config.concretize_witnesses);
   h.add(static_cast<std::uint64_t>(config.characterizer.hidden));
   h.add(config.characterizer.learning_rate);
@@ -221,14 +222,7 @@ std::size_t campaign_config_hash(const std::vector<CampaignEntry>& entries,
   h.add(static_cast<std::uint64_t>(config.characterizer.init_seed));
   h.add(static_cast<std::uint64_t>(config.assume_guarantee.bounds));
   h.add(config.assume_guarantee.monitor_margin);
-  const verify::TailVerifierOptions& v = config.assume_guarantee.verifier;
-  h.add(static_cast<std::uint64_t>(v.milp.max_nodes));
-  h.add(v.validation_tolerance);
-  h.add(v.risk_margin_objective);
-  h.add(static_cast<std::uint64_t>(v.falsify.restarts));
-  h.add(static_cast<std::uint64_t>(v.falsify.steps));
-  h.add(v.falsify.step_scale);
-  h.add(static_cast<std::uint64_t>(v.falsify.seed));
+  h.add_verifier(config.assume_guarantee.verifier);
   return h.hash();
 }
 
@@ -404,16 +398,14 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
   // instead of blocking the battery.
   entry_config.assume_guarantee.verifier.run_control = config.run_control;
 
-  // One encoding cache shared across the worker pool: entries with the
-  // same abstraction reuse the frozen tail and only append their own
-  // characterizer and risk rows. Copy-on-freeze, so no mutex — workers
-  // copy the immutable base and never mutate it.
-  std::shared_ptr<verify::EncodingCache> cache =
+  // One encoding cache shared across the worker pool (unless the caller
+  // brought one): entries with the same abstraction reuse the frozen
+  // tail and only append their own characterizer and risk rows.
+  // Copy-on-freeze, so no mutex — workers copy the immutable base and
+  // never mutate it. Tables are bit-identical to fresh encodes.
+  std::shared_ptr<verify::EncodingCache>& cache =
       entry_config.assume_guarantee.verifier.encoding_cache;
-  if (config.share_tail_encodings && cache == nullptr) {
-    cache = std::make_shared<verify::EncodingCache>();
-    entry_config.assume_guarantee.verifier.encoding_cache = cache;
-  }
+  if (cache == nullptr) cache = std::make_shared<verify::EncodingCache>();
 
   // Start-point pool for stage-0 attacks: caller-shared (persists across
   // campaigns) or private to this battery. Contributions happen only
@@ -460,13 +452,6 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
     config_hash = campaign_config_hash(entries, groups, config);
   }
 
-  // Entries are independent (each workflow run seeds its own RNGs from
-  // the config), so they fan out over a worker pool; results land in
-  // their entry slot, keeping report ordering deterministic regardless
-  // of thread count or completion order. A pass runs a job list of
-  // (entry index, node-budget override — 0 keeps entry_config's); the
-  // retry pass below reuses it with per-entry grants.
-  //
   // `settled[i]` marks a first-pass result that is final for resume
   // purposes: the entry completed without a deadline expiring inside it.
   // A deadlined entry is honestly UNKNOWN in *this* report but stays
@@ -477,12 +462,8 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
   if (config.resume && checkpointing) {
     CampaignCheckpoint ckpt;
     if (load_campaign_checkpoint(config.checkpoint_path, ckpt)) {
-      check(ckpt.fingerprint == fingerprint,
-            "run_campaign: checkpoint was written for a different network "
-            "(fingerprint mismatch) — delete it or rerun from scratch");
-      check(ckpt.config_hash == config_hash,
-            "run_campaign: checkpoint was written under different "
-            "semantics-affecting options (config hash mismatch)");
+      check_checkpoint_identity("run_campaign", ckpt.fingerprint, ckpt.config_hash, fingerprint,
+                                config_hash);
       check(ckpt.entry_count == entries.size(), "run_campaign: checkpoint entry count mismatch");
       for (const CampaignEntryRecord& rec : ckpt.records) {
         check(rec.index < entries.size(), "run_campaign: checkpoint entry index out of range");
@@ -524,47 +505,44 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
     });
   };
 
-  // `job_done[j]` is set by the worker as its job's last action; the
-  // pass join gives the happens-before, so after a pass (even one cut
-  // short by a deadline or a fault) the main thread knows exactly which
-  // slots hold finished results.
-  std::vector<char> job_done;
-  const auto run_pass = [&](const std::vector<std::pair<std::size_t, std::size_t>>& jobs) {
-    job_done.assign(jobs.size(), 0);
-    ParallelPassOptions pass_options;
-    pass_options.run_control = config.run_control;
-    pass_options.job_label = [&jobs, &entries](std::size_t j) {
-      return "entry " + std::to_string(jobs[j].first) + " (" +
-             entries[jobs[j].first].property_name + ")";
-    };
-    run_parallel_pass(
-        jobs.size(), config.campaign_threads,
-        [&](std::size_t j) {
-          const std::size_t i = jobs[j].first;
-          WorkflowConfig job_config = entry_config;
-          if (jobs[j].second > 0)
-            job_config.assume_guarantee.verifier.milp.max_nodes = jobs[j].second;
-          // Per-entry deterministic attack seeding: derived from the
-          // configured falsify seed and the entry index (never thread or
-          // schedule state), plus recycled start points for this risk.
-          verify::FalsifyOptions& falsify = job_config.assume_guarantee.verifier.falsify;
-          falsify.seed += 0x9e3779b97f4a7c15ULL * (i + 1);
-          falsify.seed_points = pool->snapshot(entries[i].risk.name());
-          // Delta reuse in, harvest out. Planning happens inside the
-          // assume-guarantee finish step, where the query is fully built.
-          AssumeGuaranteeConfig& ag = job_config.assume_guarantee;
-          if (have_previous) {
-            ag.delta_base = config.delta_base;
-            ag.delta_artifacts = &previous_artifacts;
-          }
-          if (have_previous || harvesting) ag.delta_query_key = entry_query_key(i);
-          if (harvesting) ag.delta_harvest = &harvests[i];
-          results[i] = workflow.run(entries[i].property_name, prepared_property(i),
-                                    entries[i].risk, job_config);
-          job_done[j] = 1;
-        },
-        pass_options);
-  };
+  // Entries are independent (each workflow run seeds its own RNGs from
+  // the config), so they fan out over a worker pool; results land in
+  // their entry slot, keeping report ordering deterministic regardless
+  // of thread count or completion order. A retried entry's first-pass
+  // verification moves to `superseded`, whose costs stay in the totals.
+  std::vector<verify::VerificationResult> superseded(entries.size());
+  BudgetedPass pass(
+      config.campaign_threads, config.run_control,
+      [&entries](const BudgetedJob& job) {
+        return "entry " + std::to_string(job.item) + " (" + entries[job.item].property_name +
+               ")";
+      },
+      [&](const BudgetedJob& job) -> const verify::VerificationResult& {
+        const std::size_t i = job.item;
+        WorkflowConfig job_config = entry_config;
+        if (job.node_budget > 0) {
+          job_config.assume_guarantee.verifier.milp.max_nodes = job.node_budget;
+          superseded[i] = std::move(results[i].safety.verification);
+        }
+        // Per-entry deterministic attack seeding: derived from the
+        // configured falsify seed and the entry index (never thread or
+        // schedule state), plus recycled start points for this risk.
+        verify::FalsifyOptions& falsify = job_config.assume_guarantee.verifier.falsify;
+        falsify.seed += 0x9e3779b97f4a7c15ULL * (i + 1);
+        falsify.seed_points = pool->snapshot(entries[i].risk.name());
+        // Delta reuse in, harvest out. Planning happens inside the
+        // assume-guarantee finish step, where the query is fully built.
+        AssumeGuaranteeConfig& ag = job_config.assume_guarantee;
+        if (have_previous) {
+          ag.delta_base = config.delta_base;
+          ag.delta_artifacts = &previous_artifacts;
+        }
+        if (have_previous || harvesting) ag.delta_query_key = entry_query_key(i);
+        if (harvesting) ag.delta_harvest = &harvests[i];
+        results[i] = workflow.run(entries[i].property_name, prepared_property(i),
+                                  entries[i].risk, job_config);
+        return results[i].safety.verification;
+      });
 
   const auto write_checkpoint = [&] {
     if (!checkpointing) return;
@@ -579,29 +557,25 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
     report.checkpoint_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   };
+  const auto settle_and_checkpoint = [&] {
+    for (std::size_t j = 0; j < pass.jobs().size(); ++j)
+      if (pass.settled(j)) settled[pass.jobs()[j].item] = 1;
+    write_checkpoint();
+  };
 
-  std::vector<std::pair<std::size_t, std::size_t>> first_pass;
-  first_pass.reserve(entries.size());
+  std::vector<BudgetedJob> first_pass;
   for (std::size_t i = 0; i < entries.size(); ++i)
-    if (!settled[i]) first_pass.emplace_back(i, 0);
+    if (!settled[i]) first_pass.push_back({i, 0});
   representatives_first(first_pass, groups);
   try {
-    run_pass(first_pass);
+    pass.run(std::move(first_pass));
   } catch (const ParallelPassError&) {
     // A worker died. Salvage every job that did finish cleanly into the
     // checkpoint before propagating — the rerun resumes from there.
-    for (std::size_t j = 0; j < first_pass.size(); ++j) {
-      const std::size_t i = first_pass[j].first;
-      if (job_done[j] && !results[i].safety.verification.hit_deadline) settled[i] = 1;
-    }
-    write_checkpoint();
+    settle_and_checkpoint();
     throw;
   }
-  for (std::size_t j = 0; j < first_pass.size(); ++j) {
-    const std::size_t i = first_pass[j].first;
-    if (job_done[j] && !results[i].safety.verification.hit_deadline) settled[i] = 1;
-  }
-  write_checkpoint();
+  settle_and_checkpoint();
 
   // Deadline honesty: if anything is left unsettled the run was
   // interrupted. Unclaimed or mid-flight-abandoned entries get a marked
@@ -610,106 +584,49 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
   // a resume run will redo them. The pool contribution, budget retry and
   // their determinism contracts assume complete first-pass results, so
   // an interrupted run skips straight to aggregation.
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (settled[i]) continue;
+  const auto skip = [&](std::size_t i) {
     report.interrupted = true;
     results[i].deadline_skipped = true;
     if (results[i].property_name.empty()) {
       results[i].property_name = entries[i].property_name;
       results[i].risk_name = entries[i].risk.name();
     }
-  }
-
-  // Recycle this pass's discoveries into the pool, in entry order: a
-  // validated layer-l witness is a proven risk point for its risk
-  // region, and a frontier near-miss is the B&B's best open relaxation
-  // point — both are prime stage-0 starts for the retry pass below and
-  // for later campaigns sharing the pool. Contributing here (never from
-  // inside a worker) keeps snapshots schedule-independent.
-  const auto contribute_results = [&](const std::vector<std::size_t>& indices) {
-    for (const std::size_t i : indices) {
-      const verify::VerificationResult& v = results[i].safety.verification;
-      if (v.verdict == verify::Verdict::kUnsafe && v.counterexample_validated &&
-          v.counterexample_activation.numel() > 0) {
-        pool->contribute(entries[i].risk.name(), i, v.counterexample_activation);
-        ++report.pool_points_contributed;
-      }
-      if (v.have_frontier_activation) {
-        pool->contribute(entries[i].risk.name(), i, v.frontier_activation);
-        ++report.pool_points_contributed;
-      }
-    }
   };
-  std::vector<std::size_t> all_indices(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) all_indices[i] = i;
-  if (!report.interrupted) contribute_results(all_indices);
+  for (std::size_t i = 0; i < entries.size(); ++i)
+    if (!settled[i]) skip(i);
 
-  // Budget re-allocation: unused nodes of early finishers form a pool
-  // that node-limit UNKNOWN entries draw from in one retry pass, split
-  // evenly (remainder to the earliest entries). Everything here is a
-  // pure function of the deterministic first-pass results, so verdicts
-  // and tables stay bit-identical across thread counts.
-  double retry_encode_seconds = 0.0, retry_solve_seconds = 0.0;
-  double retry_attack_seconds = 0.0, retry_zonotope_seconds = 0.0;
-  std::size_t retry_nodes = 0;
-  solver::SolverStats retry_stats;
-  if (config.entry_node_budget > 0 && config.reallocate_node_budget && !report.interrupted) {
-    std::size_t pool_nodes = 0;
-    std::vector<std::size_t> starved;
+  // Recycle this pass's discoveries into the pool, in entry order: prime
+  // stage-0 starts for the retry pass below and for later campaigns
+  // sharing the pool.
+  const auto contribute = [&](std::size_t i) {
+    report.pool_points_contributed += contribute_witnesses(
+        *pool, entries[i].risk.name(), i, results[i].safety.verification);
+  };
+  if (!report.interrupted)
+    for (std::size_t i = 0; i < entries.size(); ++i) contribute(i);
+
+  // Budget re-allocation: the unused nodes of finished entries go to the
+  // node-limit UNKNOWN entries in one retry pass. A retry cut short by the
+  // deadline marks its unsettled entries and contributes nothing; the
+  // resume re-derives the whole retry from the checkpointed first pass.
+  if (config.entry_node_budget > 0 && !report.interrupted) {
+    std::vector<NodeUse> uses;
     for (std::size_t i = 0; i < entries.size(); ++i) {
-      const verify::VerificationResult& v = results[i].safety.verification;
-      const bool unknown = results[i].characterizer_usable &&
-                           results[i].safety.verdict == SafetyVerdict::kUnknown;
-      if (unknown && v.hit_node_limit) {
-        starved.push_back(i);
-      } else if (!unknown && v.milp_nodes < config.entry_node_budget) {
-        // Only entries that genuinely *finished* donate. An UNKNOWN for
-        // another reason (LP iteration limit) neither donates — its
-        // leftover is failure, not surplus — nor draws (more nodes
-        // would not fix a per-LP resource failure).
-        pool_nodes += config.entry_node_budget - v.milp_nodes;
-      }
+      const WorkflowReport& r = results[i];
+      uses.push_back({i, r.characterizer_usable && r.safety.verdict == SafetyVerdict::kUnknown,
+                      r.safety.verification.hit_node_limit, r.safety.verification.milp_nodes});
     }
-    report.budget_nodes_returned = pool_nodes;
-    if (!starved.empty() && pool_nodes > 0) {
-      const std::size_t share = pool_nodes / starved.size();
-      const std::size_t remainder = pool_nodes % starved.size();
-      std::vector<std::pair<std::size_t, std::size_t>> retries;
-      for (std::size_t k = 0; k < starved.size(); ++k) {
-        const std::size_t grant = share + (k < remainder ? 1 : 0);
-        if (grant == 0) continue;
-        retries.emplace_back(starved[k], config.entry_node_budget + grant);
-        report.budget_nodes_granted += grant;
-      }
-      // First-pass costs of retried entries stay in the totals — the
-      // work was spent either way. The first pass's open gap does NOT:
-      // the retry supersedes that search, and merge keeps maxima, so a
-      // stale gap would survive into the report even after the retry
-      // closed it.
-      for (const auto& [i, budget] : retries) {
-        (void)budget;
-        const verify::VerificationResult& v = results[i].safety.verification;
-        retry_encode_seconds += v.encode_seconds;
-        retry_solve_seconds += v.solve_seconds;
-        retry_attack_seconds += v.attack_seconds;
-        retry_zonotope_seconds += v.zonotope_seconds;
-        retry_nodes += v.milp_nodes;
-        solver::SolverStats first_pass = v.solver_stats;
-        first_pass.best_bound_gap = 0.0;
-        retry_stats.merge(first_pass);
-      }
-      run_pass(retries);
-      report.budget_entries_retried = retries.size();
-      std::vector<std::size_t> retried_indices;
-      for (const auto& [i, budget] : retries) {
-        (void)budget;
-        retried_indices.push_back(i);
-        if (results[i].safety.verdict != SafetyVerdict::kUnknown)
-          ++report.budget_entries_rescued;
-      }
-      // A rescued UNSAFE or a fresh frontier near-miss is new seed
-      // material for campaigns sharing this pool.
-      contribute_results(retried_indices);
+    const NodeBudgetTally tally = pass.retry(uses, config.entry_node_budget);
+    report.budget_nodes_returned = tally.returned;
+    report.budget_nodes_granted = tally.granted;
+    report.budget_entries_retried = tally.retried;
+    report.budget_entries_rescued = tally.rescued;
+    const bool clean = pass.clean();
+    for (std::size_t j = 0; j < pass.jobs().size(); ++j) {
+      if (clean)
+        contribute(pass.jobs()[j].item);
+      else if (!pass.settled(j))
+        skip(pass.jobs()[j].item);
     }
   }
   // Persist the next-generation artifact bundle: chain extended when
@@ -727,23 +644,24 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
     report.delta_artifacts_saved = true;
   }
 
-  if (cache != nullptr) {
-    const verify::EncodingCache::Stats cs = cache->stats();
-    report.encoding_cache_hits = cs.hits;
-    report.encoding_cache_misses = cs.misses;
-    report.encoding_reused_rows = cs.reused_rows;
-    report.encoding_reused_variables = cs.reused_variables;
-  }
-  report.reports.reserve(entries.size());
-  for (WorkflowReport& wr : results) {
-    const verify::VerificationResult& v = wr.safety.verification;
+  const verify::EncodingCache::Stats cs = cache->stats();
+  report.encoding_cache_hits = cs.hits;
+  report.encoding_cache_misses = cs.misses;
+  report.encoding_reused_rows = cs.reused_rows;
+  report.encoding_reused_variables = cs.reused_variables;
+  const auto add_costs = [&report](const verify::VerificationResult& v) {
     report.encode_seconds += v.encode_seconds;
     report.solve_seconds += v.solve_seconds;
     report.attack_seconds += v.attack_seconds;
     report.zonotope_seconds += v.zonotope_seconds;
-    report.attack_seeds_tried += v.attack_seeds_tried;
     report.milp_nodes += v.milp_nodes;
     report.solver_totals.merge(v.solver_stats);
+  };
+  report.reports.reserve(entries.size());
+  for (WorkflowReport& wr : results) {
+    const verify::VerificationResult& v = wr.safety.verification;
+    add_costs(v);
+    report.attack_seeds_tried += v.attack_seeds_tried;
     report.delta_bounds_refreshed += v.refreshed_bounds;
     report.delta_refresh_seconds += v.refresh_seconds;
     if (have_previous) {
@@ -808,12 +726,15 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
     }
     report.reports.push_back(std::move(wr));
   }
-  report.encode_seconds += retry_encode_seconds;
-  report.solve_seconds += retry_solve_seconds;
-  report.attack_seconds += retry_attack_seconds;
-  report.zonotope_seconds += retry_zonotope_seconds;
-  report.milp_nodes += retry_nodes;
-  report.solver_totals.merge(retry_stats);
+  // First-pass costs of retried entries stay in the totals — the work was
+  // spent either way. Their open gap does NOT: the retry supersedes that
+  // search, and merge keeps maxima, so a stale gap would survive into the
+  // report even after the retry closed it. Entries not retried hold an
+  // empty result here.
+  for (verify::VerificationResult& v : superseded) {
+    v.solver_stats.best_bound_gap = 0.0;
+    add_costs(v);
+  }
   // The dedicated cut counters mirror the merged totals (kept as
   // top-level fields for report readers; one accumulation source).
   report.cuts_added = report.solver_totals.cuts_added;

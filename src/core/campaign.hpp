@@ -32,7 +32,7 @@ struct CampaignReport {
   std::size_t unknown_count = 0;
   std::size_t uncharacterizable_count = 0;
 
-  /// Shared-encoding accounting (zero when share_tail_encodings is off).
+  /// Shared-encoding accounting over the campaign's encoding cache.
   /// Note: hit/miss split may vary with thread interleaving (concurrent
   /// first touches of one key both count as misses); verdicts never do.
   std::size_t encoding_cache_hits = 0;
@@ -43,11 +43,12 @@ struct CampaignReport {
   double solve_seconds = 0.0;   ///< total branch & bound wall time
 
   /// Node-budget re-allocation accounting (zero unless the config sets
-  /// `entry_node_budget` and `reallocate_node_budget`): nodes returned
+  /// `entry_node_budget`; see core::BudgetedPass::retry): nodes returned
   /// unused by early finishers, nodes actually granted to node-limit
-  /// UNKNOWN entries, entries re-run with a grant, and the subset whose
-  /// verdict improved past UNKNOWN. Retried entries' first-pass costs
-  /// stay included in the node/seconds totals below.
+  /// UNKNOWN entries, entries re-run with a grant (0 when the deadline
+  /// cut the retry pass), and the subset whose verdict improved past
+  /// UNKNOWN. Retried entries' first-pass costs stay included in the
+  /// node/seconds totals below.
   std::size_t budget_nodes_returned = 0;
   std::size_t budget_nodes_granted = 0;
   std::size_t budget_entries_retried = 0;
@@ -64,7 +65,7 @@ struct CampaignReport {
   std::size_t resume_entries_restored = 0;
   double checkpoint_seconds = 0.0;  ///< wall time writing checkpoints
 
-  /// Staged-pipeline funnel (all zero when `falsify_first` is off):
+  /// Staged-pipeline funnel (all zero when `falsify.enabled` is off):
   /// how many usable entries each stage settled, and what the cheap
   /// stages cost in wall seconds. Counts partition the decided entries —
   /// attack settles UNSAFE, zonotope settles SAFE, the MILP settles the
@@ -144,9 +145,10 @@ struct CampaignReport {
 /// each entry's MILP node budget so one hard query cannot starve the
 /// battery.
 ///
-/// With `config.falsify_first` (the default) every entry gets a
-/// deterministic per-entry attack seed derived from the configured
-/// falsify seed and its entry index, and stage-0 attacks are seeded from
+/// With the staged pipeline on (`assume_guarantee.verifier.falsify
+/// .enabled`, the default) every entry gets a deterministic per-entry
+/// attack seed derived from the configured falsify seed and its entry
+/// index, and stage-0 attacks are seeded from
 /// `config.counterexample_pool` (per-campaign private pool when null)
 /// under the entry's risk name. Witnesses and frontier near-misses are
 /// contributed back between passes — never from inside a worker — so the

@@ -29,6 +29,27 @@ void ConfigHasher::add(double v) {
   add(bits);
 }
 
+void ConfigHasher::add_verifier(const verify::TailVerifierOptions& v) {
+  add(static_cast<std::uint64_t>(v.milp.max_nodes));
+  add(v.validation_tolerance);
+  add(v.risk_margin_objective);
+  add(static_cast<std::uint64_t>(v.falsify.restarts));
+  add(static_cast<std::uint64_t>(v.falsify.steps));
+  add(v.falsify.step_scale);
+  add(static_cast<std::uint64_t>(v.falsify.seed));
+}
+
+void check_checkpoint_identity(const char* who, std::size_t loaded_fingerprint,
+                               std::size_t loaded_config_hash, std::size_t fingerprint,
+                               std::size_t config_hash) {
+  const std::string prefix = std::string(who) + ": checkpoint was written ";
+  check(loaded_fingerprint == fingerprint,
+        prefix + "for a different network (fingerprint mismatch) — delete it or rerun from "
+                 "scratch");
+  check(loaded_config_hash == config_hash,
+        prefix + "under different semantics-affecting options (config hash mismatch)");
+}
+
 namespace {
 
 constexpr const char* kMagic = "dpv-checkpoint";

@@ -47,12 +47,23 @@ class ConfigHasher {
   void add(std::uint64_t v);
   void add(double v);  ///< hashed by bit pattern, so -0.0 != +0.0
   void add(bool v) { add(static_cast<std::uint64_t>(v ? 1 : 0)); }
+  /// The verdict-affecting verifier options campaigns and coverage runs
+  /// both hash: node cap, validation tolerance, margin objective and the
+  /// attack's restarts, steps, step scale and seed.
+  void add_verifier(const verify::TailVerifierOptions& v);
 
   std::size_t hash() const { return state_; }
 
  private:
   std::size_t state_ = 0xcbf29ce484222325ULL;
 };
+
+/// Throws ContractViolation unless a loaded checkpoint header matches
+/// the run: same network fingerprint and config hash. `who` (the entry
+/// point's name) prefixes the message.
+void check_checkpoint_identity(const char* who, std::size_t loaded_fingerprint,
+                               std::size_t loaded_config_hash, std::size_t fingerprint,
+                               std::size_t config_hash);
 
 /// One settled first-pass entry of a campaign: exactly the fields the
 /// downstream passes read — pool contribution replay, budget
@@ -98,35 +109,12 @@ struct PoolPointRecord {
   Tensor point;
 };
 
-/// Mirrors CoverageCell minus its SafetyCase: nothing a later round
-/// reads lives there (witness scenarios are copied into child seeds at
-/// split time, layer-l points live in the pool), so restored cells carry
-/// an empty SafetyCase and the resumed tables still match bit for bit.
-struct CoverageCellRecord {
-  std::size_t id = 0;
-  std::size_t parent = CoverageCell::kNone;
-  std::size_t depth = 0;
-  std::uint64_t path_hash = 0;
-  data::ScenarioBox box;
-  double volume_fraction = 0.0;
-  CellStatus status = CellStatus::kPending;
-  SafetyVerdict verdict = SafetyVerdict::kUnknown;
-  std::string decided_by = "-";
-  std::size_t decided_round = 0;
-  bool has_counterexample_scenario = false;
-  data::RoadScenario counterexample_scenario;
-  bool has_seed_scenario = false;
-  data::RoadScenario seed_scenario;
-  std::size_t split_dim = CoverageCell::kNone;
-  std::array<std::size_t, 2> children = {CoverageCell::kNone, CoverageCell::kNone};
-};
-
 struct CoverageCheckpoint {
   std::size_t fingerprint = 0;
   std::size_t config_hash = 0;
   /// Completed rounds (resume starts at rounds.size()).
   std::vector<CoverageRound> rounds;
-  std::vector<CoverageCellRecord> cells;  ///< in id order
+  std::vector<CoverageCellRecord> cells;  ///< every cell in id order
   std::vector<PoolPointRecord> pool;
   std::size_t pool_points_contributed = 0;
 };

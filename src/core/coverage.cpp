@@ -321,48 +321,23 @@ std::size_t coverage_config_hash(const verify::RiskSpec& risk, const Operational
   h.add(static_cast<std::uint64_t>(options.max_rounds));
   h.add(static_cast<std::uint64_t>(options.max_depth));
   h.add(static_cast<std::uint64_t>(options.cell_node_budget));
-  h.add(options.reallocate_node_budget);
-  h.add(options.static_prepass);
-  h.add(options.falsify_first);
+  // The slots of the retired always-on switches (budget re-allocation,
+  // static prepass), of the staged-pipeline switch and of the scenario
+  // attack's margin, kept so existing checkpoints resume.
+  h.add(true);
+  h.add(true);
+  h.add(options.verifier.falsify.enabled);
   h.add(options.monitor_margin);
   h.add(static_cast<std::uint64_t>(options.bounds));
-  h.add(options.require_margin);
-  h.add(static_cast<std::uint64_t>(options.verifier.milp.max_nodes));
-  h.add(options.verifier.validation_tolerance);
-  h.add(options.verifier.risk_margin_objective);
-  h.add(static_cast<std::uint64_t>(options.verifier.falsify.restarts));
-  h.add(static_cast<std::uint64_t>(options.verifier.falsify.steps));
-  h.add(options.verifier.falsify.step_scale);
-  h.add(static_cast<std::uint64_t>(options.verifier.falsify.seed));
+  h.add(options.verifier.falsify.require_margin);
+  h.add_verifier(options.verifier);
   return h.hash();
-}
-
-CoverageCellRecord make_cell_record(const CoverageCell& c) {
-  CoverageCellRecord rec;
-  rec.id = c.id;
-  rec.parent = c.parent;
-  rec.depth = c.depth;
-  rec.path_hash = c.path_hash;
-  rec.box = c.box;
-  rec.volume_fraction = c.volume_fraction;
-  rec.status = c.status;
-  rec.verdict = c.verdict;
-  rec.decided_by = c.decided_by;
-  rec.decided_round = c.decided_round;
-  rec.has_counterexample_scenario = c.has_counterexample_scenario;
-  rec.counterexample_scenario = c.counterexample_scenario;
-  rec.has_seed_scenario = c.has_seed_scenario;
-  rec.seed_scenario = c.seed_scenario;
-  rec.split_dim = c.split_dim;
-  rec.children = c.children;
-  return rec;
 }
 
 /// Rebuilds the refinement tree from checkpoint records: replay every
 /// split in id order (original splits also happened in ascending parent
-/// id order, so child ids come out identical), then overwrite each
-/// cell's decision fields from its record. Restored cells carry an empty
-/// SafetyCase — nothing later rounds read lives there.
+/// id order, so child ids come out identical), then overwrite each cell
+/// but its empty SafetyCase from its record.
 void restore_map_from_records(CoverageMap& map, const std::vector<CoverageCellRecord>& recs) {
   check(recs.size() >= map.cells().size(),
         "run_coverage: checkpoint has fewer cells than the initial grid");
@@ -380,29 +355,16 @@ void restore_map_from_records(CoverageMap& map, const std::vector<CoverageCellRe
     check(cell.path_hash == rec.path_hash && cell.parent == rec.parent &&
               cell.depth == rec.depth,
           "run_coverage: checkpoint cell lineage mismatch after split replay");
-    cell.box = rec.box;
-    cell.volume_fraction = rec.volume_fraction;
-    cell.status = rec.status;
-    cell.verdict = rec.verdict;
-    cell.decided_by = rec.decided_by;
-    cell.decided_round = rec.decided_round;
-    cell.has_counterexample_scenario = rec.has_counterexample_scenario;
-    cell.counterexample_scenario = rec.counterexample_scenario;
-    cell.has_seed_scenario = rec.has_seed_scenario;
-    cell.seed_scenario = rec.seed_scenario;
+    static_cast<CoverageCellRecord&>(cell) = rec;
   }
 }
 
-/// One cell's processing result, written into a per-pass slot by a
-/// worker and applied to the map sequentially between passes.
+/// One cell's processing result, applied to its cell by the worker that
+/// computed it. The cell's verdict and status follow from `safety`.
 struct CellOutcome {
-  CellStatus status = CellStatus::kUnknown;
-  SafetyVerdict verdict = SafetyVerdict::kUnknown;
   const char* decided_by = "-";
   bool has_cex_scenario = false;
   data::RoadScenario cex_scenario;
-  bool have_cex_activation = false;
-  Tensor cex_activation;  ///< layer-l point of a scenario witness (pooled)
   SafetyCase safety;
 };
 
@@ -432,7 +394,6 @@ CoverageReport run_coverage(const nn::Network& network, std::size_t attach_layer
   ag_base.bounds = options.bounds;
   ag_base.monitor_margin = 0.0;
   ag_base.verifier = options.verifier;
-  ag_base.verifier.falsify.enabled = options.falsify_first;
   if (options.cell_node_budget > 0)
     ag_base.verifier.milp.max_nodes = options.cell_node_budget;
   // The run deadline reaches into every cell's falsifier, B&B and
@@ -457,24 +418,21 @@ CoverageReport run_coverage(const nn::Network& network, std::size_t attach_layer
       images.push_back(data::render_road_image(s, options.render));
 
     // Stage 1: scenario attack. A concrete in-cell render whose real
-    // output enters the risk region (with require_margin slack) settles
-    // UNSAFE with scenario-space provenance — the strongest possible
-    // counterexample, no abstraction involved.
+    // output enters the risk region (with the attack's require_margin
+    // slack) settles UNSAFE with scenario-space provenance — the
+    // strongest possible counterexample, no abstraction involved.
     const auto try_scenario = [&](const data::RoadScenario& s, const Tensor& image) {
       const Tensor output = network.forward(image);
-      if (risk.min_margin(output) < options.require_margin) return false;
-      out.status = CellStatus::kUnsafe;
-      out.verdict = SafetyVerdict::kUnsafe;
+      if (risk.min_margin(output) < options.verifier.falsify.require_margin) return false;
       out.decided_by = "scenario-attack";
       out.has_cex_scenario = true;
       out.cex_scenario = s;
-      out.have_cex_activation = true;
-      out.cex_activation = network.forward_prefix(image, attach_layer);
       out.safety.verdict = SafetyVerdict::kUnsafe;
       out.safety.bounds_source = options.bounds;
       out.safety.verification.verdict = verify::Verdict::kUnsafe;
       out.safety.verification.decided_by = verify::DecisionStage::kAttack;
-      out.safety.verification.counterexample_activation = out.cex_activation;
+      out.safety.verification.counterexample_activation =
+          network.forward_prefix(image, attach_layer);
       out.safety.verification.counterexample_output = output;
       out.safety.verification.counterexample_validated = true;
       return true;
@@ -490,39 +448,35 @@ CoverageReport run_coverage(const nn::Network& network, std::size_t attach_layer
     // propagated through the prefix, feeds the zonotope bound proof; a
     // proof certifies the cell *unconditionally* (no monitor needed —
     // kStaticAnalysis semantics under the bounded-noise assumption).
-    if (options.static_prepass) {
-      const data::ImageBounds image_bounds =
-          data::render_road_image_bounds(cell.box, options.render, options.render_bounds);
-      absint::Box pixel_box;
-      pixel_box.reserve(image_bounds.lo.numel());
-      for (std::size_t i = 0; i < image_bounds.lo.numel(); ++i)
-        pixel_box.emplace_back(image_bounds.lo[i], image_bounds.hi[i]);
-      verify::VerificationQuery query;
-      query.network = &network;
-      query.attach_layer = attach_layer;
-      query.characterizer = nullptr;
-      query.risk = risk;
-      query.input_box = absint::propagate_box_range(network, pixel_box, 0, attach_layer);
-      bool static_safe = verify::prove_by_bounds(query, options.verifier.falsify).proved_safe;
-      if (!static_safe) {
-        const absint::Box output_box = absint::propagate_box_range(
-            network, query.input_box, attach_layer, network.layer_count());
-        for (const verify::OutputInequality& ineq : risk.inequalities())
-          if (interval_unsatisfiable(ineq, output_box)) {
-            static_safe = true;
-            break;
-          }
-      }
-      if (static_safe) {
-        out.status = CellStatus::kCertified;
-        out.verdict = SafetyVerdict::kSafeUnconditional;
-        out.decided_by = "static-bounds";
-        out.safety.verdict = SafetyVerdict::kSafeUnconditional;
-        out.safety.bounds_source = BoundsSource::kStaticAnalysis;
-        out.safety.verification.verdict = verify::Verdict::kSafe;
-        out.safety.verification.decided_by = verify::DecisionStage::kZonotope;
-        return out;
-      }
+    const data::ImageBounds image_bounds =
+        data::render_road_image_bounds(cell.box, options.render, options.render_bounds);
+    absint::Box pixel_box;
+    pixel_box.reserve(image_bounds.lo.numel());
+    for (std::size_t i = 0; i < image_bounds.lo.numel(); ++i)
+      pixel_box.emplace_back(image_bounds.lo[i], image_bounds.hi[i]);
+    verify::VerificationQuery query;
+    query.network = &network;
+    query.attach_layer = attach_layer;
+    query.characterizer = nullptr;
+    query.risk = risk;
+    query.input_box = absint::propagate_box_range(network, pixel_box, 0, attach_layer);
+    bool static_safe = verify::prove_by_bounds(query, options.verifier.falsify).proved_safe;
+    if (!static_safe) {
+      const absint::Box output_box = absint::propagate_box_range(
+          network, query.input_box, attach_layer, network.layer_count());
+      for (const verify::OutputInequality& ineq : risk.inequalities())
+        if (interval_unsatisfiable(ineq, output_box)) {
+          static_safe = true;
+          break;
+        }
+    }
+    if (static_safe) {
+      out.decided_by = "static-bounds";
+      out.safety.verdict = SafetyVerdict::kSafeUnconditional;
+      out.safety.bounds_source = BoundsSource::kStaticAnalysis;
+      out.safety.verification.verdict = verify::Verdict::kSafe;
+      out.safety.verification.decided_by = verify::DecisionStage::kZonotope;
+      return out;
     }
 
     // Stage 3: monitor query. The cell's own renders induce S̃; the
@@ -546,58 +500,9 @@ CoverageReport run_coverage(const nn::Network& network, std::size_t attach_layer
     ag.verifier.falsify.seed_points = std::move(seeds);
     const AssumeGuaranteeVerifier verifier(ag);
     out.safety = verifier.verify_with_monitor(network, attach_layer, nullptr, risk, mon);
-    out.verdict = out.safety.verdict;
-    switch (out.safety.verdict) {
-      case SafetyVerdict::kSafeUnconditional:
-      case SafetyVerdict::kSafeConditional:
-        out.status = CellStatus::kCertified;
-        break;
-      case SafetyVerdict::kUnsafe:
-        out.status = CellStatus::kUnsafe;
-        break;
-      case SafetyVerdict::kUnknown:
-        out.status = CellStatus::kUnknown;
-        break;
-    }
-    if (out.status != CellStatus::kUnknown)
+    if (out.safety.verdict != SafetyVerdict::kUnknown)
       out.decided_by = verify::decision_stage_name(out.safety.verification.decided_by);
     return out;
-  };
-
-  const auto apply_outcome = [&](std::size_t id, CellOutcome&& out, std::size_t round) {
-    CoverageCell& cell = map.cell_mutable(id);
-    cell.status = out.status;
-    cell.verdict = out.verdict;
-    cell.decided_by = out.decided_by;
-    cell.decided_round = round;
-    cell.has_counterexample_scenario = out.has_cex_scenario;
-    cell.counterexample_scenario = out.cex_scenario;
-    cell.safety = std::move(out.safety);
-  };
-
-  // Between-pass pool contribution, in cell-id order (the pool's
-  // determinism contract): scenario witnesses at layer l, validated
-  // abstract witnesses, and B&B frontier near-misses.
-  const auto contribute = [&](const std::vector<std::size_t>& ids,
-                              std::vector<CellOutcome>& outcomes) {
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      const CoverageCell& cell = map.cell(ids[k]);
-      CellOutcome& out = outcomes[k];
-      const std::string key = cell_pool_key(cell.path_hash);
-      const verify::VerificationResult& v = out.safety.verification;
-      if (out.have_cex_activation) {
-        pool->contribute(key, cell.id, out.cex_activation);
-        ++report.pool_points_contributed;
-      } else if (v.verdict == verify::Verdict::kUnsafe && v.counterexample_validated &&
-                 v.counterexample_activation.numel() > 0) {
-        pool->contribute(key, cell.id, v.counterexample_activation);
-        ++report.pool_points_contributed;
-      }
-      if (v.have_frontier_activation) {
-        pool->contribute(key, cell.id, v.frontier_activation);
-        ++report.pool_points_contributed;
-      }
-    }
   };
 
   // Checkpoint identity and resume. The resume restores the map (split
@@ -612,22 +517,18 @@ CoverageReport run_coverage(const nn::Network& network, std::size_t attach_layer
     fingerprint = verify::tail_fingerprint(network, 0);
     config_hash = coverage_config_hash(risk, domain, options);
   }
-  std::size_t start_round = 0;
+  std::size_t round = 0;
   if (options.resume && checkpointing) {
     CoverageCheckpoint ckpt;
     if (load_coverage_checkpoint(options.checkpoint_path, ckpt)) {
-      check(ckpt.fingerprint == fingerprint,
-            "run_coverage: checkpoint was written for a different network "
-            "(fingerprint mismatch) — delete it or rerun from scratch");
-      check(ckpt.config_hash == config_hash,
-            "run_coverage: checkpoint was written under different "
-            "semantics-affecting options (config hash mismatch)");
+      check_checkpoint_identity("run_coverage", ckpt.fingerprint, ckpt.config_hash, fingerprint,
+                                config_hash);
       restore_map_from_records(map, ckpt.cells);
       report.rounds = ckpt.rounds;
       for (const PoolPointRecord& p : ckpt.pool) pool->contribute(p.key, p.order, p.point);
       report.pool_points_contributed = ckpt.pool_points_contributed;
       report.resume_rounds_restored = ckpt.rounds.size();
-      start_round = ckpt.rounds.size();
+      round = ckpt.rounds.size();
     }
   }
 
@@ -638,8 +539,7 @@ CoverageReport run_coverage(const nn::Network& network, std::size_t attach_layer
     ckpt.fingerprint = fingerprint;
     ckpt.config_hash = config_hash;
     ckpt.rounds = report.rounds;
-    ckpt.cells.reserve(map.cells().size());
-    for (const CoverageCell& c : map.cells()) ckpt.cells.push_back(make_cell_record(c));
+    ckpt.cells.assign(map.cells().begin(), map.cells().end());  // sliced to records
     for (const CounterexamplePool::Entry& e : pool->export_entries())
       ckpt.pool.push_back({e.key, e.order, e.point});
     ckpt.pool_points_contributed = report.pool_points_contributed;
@@ -648,20 +548,29 @@ CoverageReport run_coverage(const nn::Network& network, std::size_t attach_layer
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   };
 
-  // A pass is "clean" when every job finished and none degraded to a
-  // deadline UNKNOWN internally — only then may its outcomes become
-  // settled (checkpointed) state. An unclean pass still reports what it
-  // computed (deadline honesty), but the resume restarts its round from
-  // the round-start checkpoint, so nothing schedule-dependent leaks in.
-  const auto pass_interrupted = [&](const std::vector<CellOutcome>& outs,
-                                    const std::vector<char>& done) {
-    if (run_expired(options.run_control)) return true;
-    for (std::size_t k = 0; k < done.size(); ++k)
-      if (!done[k] || outs[k].safety.verification.hit_deadline) return true;
-    return false;
-  };
-  ParallelPassOptions pass_options;
-  pass_options.run_control = options.run_control;
+  // One job per cell. The worker applies the outcome to its own cell,
+  // which no other job of the pass reads (they read their own cell and
+  // its already-split parent).
+  BudgetedPass pass(
+      options.threads, options.run_control,
+      [](const BudgetedJob& job) {
+        return "cell " + std::to_string(job.item) +
+               (job.node_budget > 0 ? " (budget retry)" : "");
+      },
+      [&](const BudgetedJob& job) -> const verify::VerificationResult& {
+        CoverageCell& cell = map.cell_mutable(job.item);
+        CellOutcome out = process_cell(cell, job.node_budget);
+        cell.verdict = out.safety.verdict;
+        cell.status = cell.verdict == SafetyVerdict::kUnsafe    ? CellStatus::kUnsafe
+                      : cell.verdict == SafetyVerdict::kUnknown ? CellStatus::kUnknown
+                                                                : CellStatus::kCertified;
+        cell.decided_by = out.decided_by;
+        cell.decided_round = round;
+        cell.has_counterexample_scenario = out.has_cex_scenario;
+        cell.counterexample_scenario = out.cex_scenario;
+        cell.safety = std::move(out.safety);
+        return cell.safety.verification;
+      });
 
   // The work list: unprocessed leaves. On a fresh run that is every
   // grid cell; on a resume it is exactly the interrupted round's pending
@@ -669,8 +578,7 @@ CoverageReport run_coverage(const nn::Network& network, std::size_t attach_layer
   std::vector<std::size_t> pending;
   for (const CoverageCell& c : map.cells())
     if (c.is_leaf() && c.status == CellStatus::kPending) pending.push_back(c.id);
-  for (std::size_t round = start_round; round < options.max_rounds && !pending.empty();
-       ++round) {
+  for (; round < options.max_rounds && !pending.empty(); ++round) {
     // Round-start checkpoint: the resume point for a round cut short by
     // a deadline or killed by a fault mid-pass.
     write_checkpoint();
@@ -679,117 +587,44 @@ CoverageReport run_coverage(const nn::Network& network, std::size_t attach_layer
     stats.round = round;
     stats.cells_processed = pending.size();
 
-    std::vector<CellOutcome> outcomes(pending.size());
-    std::vector<char> done(pending.size(), 0);
-    pass_options.job_label = [&pending](std::size_t k) {
-      return "cell " + std::to_string(pending[k]);
+    // A pass is cut when the deadline expired or any job did not settle;
+    // only an uncut pass may become settled (checkpointed) state. A cut
+    // pass still reports what it computed (deadline honesty) — finished
+    // cells keep their outcomes, the rest stay pending — but contributes
+    // nothing, retries nothing and refines nothing: the resume redoes
+    // the whole round from the checkpoint written above.
+    const auto finish_pass = [&] {
+      for (std::size_t j = 0; j < pass.jobs().size(); ++j)
+        if (pass.finished(j))
+          stats.milp_nodes += map.cell(pass.jobs()[j].item).safety.verification.milp_nodes;
+      report.interrupted = run_expired(options.run_control) || !pass.clean();
+      if (report.interrupted) return;
+      // Between-pass pool contribution, in cell-id order (the pool's
+      // determinism contract).
+      for (const BudgetedJob& job : pass.jobs()) {
+        const CoverageCell& cell = map.cell(job.item);
+        report.pool_points_contributed += contribute_witnesses(
+            *pool, cell_pool_key(cell.path_hash), cell.id, cell.safety.verification);
+      }
     };
-    run_parallel_pass(
-        pending.size(), options.threads,
-        [&](std::size_t k) {
-          outcomes[k] = process_cell(map.cell(pending[k]), 0);
-          done[k] = 1;
-        },
-        pass_options);
-    if (pass_interrupted(outcomes, done)) {
-      // Deadline honesty: completed outcomes enter this report's map,
-      // undone cells stay pending (tallied as unknown). No pool
-      // contribution, no retry, no refinement — the resumed run redoes
-      // the whole round from the checkpoint written above.
-      for (std::size_t k = 0; k < pending.size(); ++k) {
-        if (!done[k]) continue;
-        stats.milp_nodes += outcomes[k].safety.verification.milp_nodes;
-        apply_outcome(pending[k], std::move(outcomes[k]), round);
-      }
-      for (const std::size_t id : pending) {
-        const CoverageCell& cell = map.cell(id);
-        stats.max_depth = std::max(stats.max_depth, cell.depth);
-        switch (cell.status) {
-          case CellStatus::kCertified:
-            ++stats.cells_certified;
-            break;
-          case CellStatus::kUnsafe:
-            ++stats.cells_unsafe;
-            break;
-          default:
-            ++stats.cells_unknown;
-            break;
-        }
-      }
-      stats.certified_volume_fraction = map.certified_volume_fraction();
-      stats.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - round_start)
-              .count();
-      report.rounds.push_back(stats);
-      report.interrupted = true;
-      break;
-    }
-    contribute(pending, outcomes);
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      stats.milp_nodes += outcomes[k].safety.verification.milp_nodes;
-      apply_outcome(pending[k], std::move(outcomes[k]), round);
-    }
-
-    // Budget re-allocation: decided cells' unused MILP nodes are granted
-    // to node-limit UNKNOWN cells in one retry pass (even shares,
-    // remainder to the earliest ids) — a pure function of first-pass
-    // results, so verdicts stay bit-identical across thread counts.
-    if (options.cell_node_budget > 0 && options.reallocate_node_budget) {
-      std::size_t pool_nodes = 0;
-      std::vector<std::size_t> starved;
+    std::vector<BudgetedJob> jobs;
+    for (const std::size_t id : pending) jobs.push_back({id, 0});
+    pass.run(std::move(jobs));
+    finish_pass();
+    if (!report.interrupted && options.cell_node_budget > 0) {
+      std::vector<NodeUse> uses;
       for (const std::size_t id : pending) {
         const CoverageCell& cell = map.cell(id);
         const verify::VerificationResult& v = cell.safety.verification;
-        if (cell.status == CellStatus::kUnknown) {
-          if (v.hit_node_limit) starved.push_back(id);
-        } else if (v.milp_nodes < options.cell_node_budget) {
-          pool_nodes += options.cell_node_budget - v.milp_nodes;
-        }
+        uses.push_back({id, cell.status == CellStatus::kUnknown, v.hit_node_limit, v.milp_nodes});
       }
-      stats.budget_nodes_returned = pool_nodes;
-      if (!starved.empty() && pool_nodes > 0) {
-        const std::size_t share = pool_nodes / starved.size();
-        const std::size_t remainder = pool_nodes % starved.size();
-        std::vector<std::size_t> retry_ids;
-        std::vector<std::size_t> retry_budgets;
-        for (std::size_t k = 0; k < starved.size(); ++k) {
-          const std::size_t grant = share + (k < remainder ? 1 : 0);
-          if (grant == 0) continue;
-          retry_ids.push_back(starved[k]);
-          retry_budgets.push_back(options.cell_node_budget + grant);
-          stats.budget_nodes_granted += grant;
-        }
-        std::vector<CellOutcome> retry_outcomes(retry_ids.size());
-        std::vector<char> retry_done(retry_ids.size(), 0);
-        pass_options.job_label = [&retry_ids](std::size_t k) {
-          return "cell " + std::to_string(retry_ids[k]) + " (budget retry)";
-        };
-        run_parallel_pass(
-            retry_ids.size(), options.threads,
-            [&](std::size_t k) {
-              retry_outcomes[k] = process_cell(map.cell(retry_ids[k]), retry_budgets[k]);
-              retry_done[k] = 1;
-            },
-            pass_options);
-        if (pass_interrupted(retry_outcomes, retry_done)) {
-          // Same honesty/purity split as the first pass: completed
-          // retries show in this report, the resume redoes the round.
-          for (std::size_t k = 0; k < retry_ids.size(); ++k) {
-            if (!retry_done[k]) continue;
-            stats.milp_nodes += retry_outcomes[k].safety.verification.milp_nodes;
-            apply_outcome(retry_ids[k], std::move(retry_outcomes[k]), round);
-          }
-          report.interrupted = true;
-        } else {
-          contribute(retry_ids, retry_outcomes);
-          stats.budget_cells_retried = retry_ids.size();
-          for (std::size_t k = 0; k < retry_ids.size(); ++k) {
-            stats.milp_nodes += retry_outcomes[k].safety.verification.milp_nodes;
-            if (retry_outcomes[k].status != CellStatus::kUnknown)
-              ++stats.budget_cells_rescued;
-            apply_outcome(retry_ids[k], std::move(retry_outcomes[k]), round);
-          }
-        }
+      const NodeBudgetTally tally = pass.retry(uses, options.cell_node_budget);
+      stats.budget_nodes_returned = tally.returned;
+      stats.budget_nodes_granted = tally.granted;
+      if (!pass.jobs().empty()) finish_pass();
+      if (!report.interrupted) {
+        stats.budget_cells_retried = tally.retried;
+        stats.budget_cells_rescued = tally.rescued;
       }
     }
 

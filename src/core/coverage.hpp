@@ -72,7 +72,13 @@ enum class CellStatus {
 
 const char* cell_status_name(CellStatus status);
 
-struct CoverageCell {
+/// A cell of the refinement tree minus its verification artifact: what
+/// a checkpoint stores. Nothing a later round reads lives in the
+/// SafetyCase (witness scenarios are copied into child seeds at split
+/// time, layer-l points live in the pool), so cells restored from
+/// records carry an empty one and the resumed tables still match bit
+/// for bit.
+struct CoverageCellRecord {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   std::size_t id = 0;
@@ -93,9 +99,6 @@ struct CoverageCell {
   /// "static-bounds", "attack", "zonotope" or "milp"; "-" while pending.
   std::string decided_by = "-";
   std::size_t decided_round = 0;
-  /// Full verification artifact of the deciding query (monitor to
-  /// deploy, pipeline trace, counterexample activation, solver stats).
-  SafetyCase safety;
 
   /// Scenario-space counterexample provenance (set when the scenario
   /// attack decided; the in-cell parameters whose render enters psi).
@@ -109,6 +112,12 @@ struct CoverageCell {
   /// Refinement links (kNone / empty while a leaf).
   std::size_t split_dim = kNone;
   std::array<std::size_t, 2> children = {kNone, kNone};
+};
+
+struct CoverageCell : CoverageCellRecord {
+  /// Full verification artifact of the deciding query (monitor to
+  /// deploy, pipeline trace, counterexample activation, solver stats).
+  SafetyCase safety;
 
   bool is_leaf() const { return children[0] == kNone; }
 };
@@ -166,24 +175,21 @@ struct CoverageOptions {
   /// Worker threads per round pass (<= 1: serial).
   std::size_t threads = 1;
   /// Per-cell MILP node budget (0 = verifier default, no re-allocation).
+  /// Each round retries its starved UNKNOWN cells with the round's
+  /// unused nodes (core::grant_unused_nodes).
   std::size_t cell_node_budget = 4000;
-  /// Retry starved UNKNOWN cells with the round's unused nodes.
-  bool reallocate_node_budget = true;
-  /// Run the interval-renderer static prepass (stage 2 of the ladder).
-  bool static_prepass = true;
+  /// Interval renderer of the static prepass (stage 2 of the ladder).
   data::RenderBoundsOptions render_bounds;
-  /// Drive the in-verifier staged pipeline (PGD attack + zonotope) in
-  /// front of the MILP. The scenario attack (stage 1) always runs.
-  bool falsify_first = true;
   /// Fractional margin on the per-cell monitor hulls.
   double monitor_margin = 0.05;
   /// Abstraction for the monitor query (kStaticAnalysis is not valid
   /// here — the static prepass covers that role).
   BoundsSource bounds = BoundsSource::kMonitorBoxDiff;
-  /// Strict slack a concrete scenario's output must show before the
-  /// scenario attack may settle UNSAFE (mirrors FalsifyOptions).
-  double require_margin = 1e-9;
-  verify::TailVerifierOptions verifier = {};
+  /// The monitor query's verifier: the staged pipeline (PGD attack +
+  /// zonotope) runs in front of the MILP unless `falsify.enabled` is
+  /// cleared; the scenario attack (stage 1) always runs and settles
+  /// UNSAFE only with `falsify.require_margin` slack.
+  verify::TailVerifierOptions verifier = staged_verifier_options();
   /// Start-point pool shared with other campaigns (private when null).
   /// With `checkpoint_path` + `resume`, keep the pool private (the
   /// default): a resume replays the checkpointed pool state, which

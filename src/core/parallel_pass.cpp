@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "common/fault_inject.hpp"
+#include "core/counterexample_pool.hpp"
+#include "verify/verifier.hpp"
 
 namespace dpv::core {
 
@@ -81,9 +83,79 @@ void run_parallel_pass(std::size_t count, std::size_t threads,
   if (error) rethrow_wrapped(error_job, options, error);
 }
 
-void run_parallel_pass(std::size_t count, std::size_t threads,
-                       const std::function<void(std::size_t)>& job) {
-  run_parallel_pass(count, threads, job, ParallelPassOptions{});
+NodeGrants grant_unused_nodes(const std::vector<NodeUse>& uses, std::size_t budget) {
+  NodeGrants grants;
+  std::vector<std::size_t> starved;
+  for (const NodeUse& u : uses) {
+    if (u.undecided && u.hit_node_limit)
+      starved.push_back(u.item);
+    else if (!u.undecided && u.nodes < budget)
+      grants.returned += budget - u.nodes;
+  }
+  if (starved.empty()) return grants;
+  const std::size_t share = grants.returned / starved.size();
+  const std::size_t remainder = grants.returned % starved.size();
+  for (std::size_t k = 0; k < starved.size(); ++k) {
+    const std::size_t grant = share + (k < remainder ? 1 : 0);
+    if (grant == 0) continue;
+    grants.retries.push_back({starved[k], budget + grant});
+    grants.granted += grant;
+  }
+  return grants;
+}
+
+std::size_t contribute_witnesses(CounterexamplePool& pool, const std::string& key,
+                                 std::size_t order, const verify::VerificationResult& v) {
+  std::size_t added = 0;
+  if (v.verdict == verify::Verdict::kUnsafe && v.counterexample_validated &&
+      v.counterexample_activation.numel() > 0) {
+    pool.contribute(key, order, v.counterexample_activation);
+    ++added;
+  }
+  if (v.have_frontier_activation) {
+    pool.contribute(key, order, v.frontier_activation);
+    ++added;
+  }
+  return added;
+}
+
+BudgetedPass::BudgetedPass(std::size_t threads, const RunControl* run_control,
+                           std::function<std::string(const BudgetedJob&)> label, Query query)
+    : threads_(threads),
+      run_control_(run_control),
+      label_(std::move(label)),
+      query_(std::move(query)) {}
+
+void BudgetedPass::run(std::vector<BudgetedJob> jobs) {
+  jobs_ = std::move(jobs);
+  state_.assign(jobs_.size(), kPending);
+  ParallelPassOptions options;
+  options.run_control = run_control_;
+  options.job_label = [this](std::size_t j) { return label_(jobs_[j]); };
+  // A job's state is its worker's last write; the pass join gives the
+  // happens-before, so afterwards (even after a deadline cut or a fault)
+  // the caller knows exactly which slots hold finished results.
+  run_parallel_pass(
+      jobs_.size(), threads_,
+      [this](std::size_t j) {
+        const verify::VerificationResult& v = query_(jobs_[j]);
+        state_[j] = v.hit_deadline                          ? kDeadlined
+                    : v.verdict == verify::Verdict::kUnknown ? kSettled
+                                                             : kDecided;
+      },
+      options);
+}
+
+bool BudgetedPass::clean() const {
+  return std::all_of(state_.begin(), state_.end(), [](char s) { return s >= kSettled; });
+}
+
+NodeBudgetTally BudgetedPass::retry(const std::vector<NodeUse>& uses, std::size_t budget) {
+  NodeGrants grants = grant_unused_nodes(uses, budget);
+  run(std::move(grants.retries));
+  if (!clean()) return {grants.returned, grants.granted, 0, 0};
+  return {grants.returned, grants.granted, jobs_.size(),
+          static_cast<std::size_t>(std::count(state_.begin(), state_.end(), kDecided))};
 }
 
 }  // namespace dpv::core

@@ -1,4 +1,5 @@
-// Deterministic fan-out of independent jobs over a worker pool.
+// Deterministic fan-out of independent jobs over a worker pool, and the
+// budgeted two-pass scheduler built on it.
 //
 // The campaign runner and the scenario-coverage engine share one
 // parallelism pattern: a fixed job list, each job writing only to its
@@ -6,6 +7,14 @@
 // Nothing a job computes may depend on claim order, so results are
 // bit-identical across thread counts — the property every determinism
 // test in this repo leans on. This header is that pattern, once.
+//
+// Both also schedule their queries (campaign entries, coverage cells)
+// the same way, through BudgetedPass: a first pass with a per-query MILP
+// node budget, witness recycling into the CounterexamplePool, then one
+// retry pass that hands the decided queries' unused nodes to the
+// node-limit UNKNOWNs (grant_unused_nodes). Everything between the two
+// passes is a pure function of first-pass results, so the retry keeps
+// tables bit-identical across thread counts too.
 //
 // Fault and deadline behavior: once any job throws, every worker stops
 // claiming new jobs (already-running jobs finish), the pool drains, and
@@ -23,10 +32,17 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/run_control.hpp"
 
+namespace dpv::verify {
+struct VerificationResult;
+}  // namespace dpv::verify
+
 namespace dpv::core {
+
+class CounterexamplePool;
 
 /// First job failure of a parallel pass, with the job's identity. The
 /// message is "<label>: <original what()>"; the original exception is
@@ -70,8 +86,87 @@ void run_parallel_pass(std::size_t count, std::size_t threads,
                        const std::function<void(std::size_t)>& job,
                        const ParallelPassOptions& options);
 
-/// Back-compat overload: no run control, default job labels.
-void run_parallel_pass(std::size_t count, std::size_t threads,
-                       const std::function<void(std::size_t)>& job);
+/// One query of a budgeted pass: the caller's item (entry index, cell
+/// id) and its MILP node budget (0 keeps the configured one).
+struct BudgetedJob {
+  std::size_t item = 0;
+  std::size_t node_budget = 0;
+};
+
+/// How a finished query stands under the node-budget rule.
+struct NodeUse {
+  std::size_t item = 0;
+  bool undecided = false;       ///< ended UNKNOWN
+  bool hit_node_limit = false;  ///< ... because its node budget ran out
+  std::size_t nodes = 0;        ///< MILP nodes it spent
+};
+
+/// The retry pass the node-budget rule asks for.
+struct NodeGrants {
+  std::size_t returned = 0;          ///< unused nodes of decided queries
+  std::size_t granted = 0;           ///< nodes handed to `retries`
+  std::vector<BudgetedJob> retries;  ///< budget + grant, in `uses` order
+};
+
+/// The node-budget rule: every decided query donates `budget - nodes`,
+/// and the node-limit UNKNOWNs split that pool evenly, the remainder
+/// going one node each to the earliest. Zero grants are skipped. An
+/// UNKNOWN for another reason (an LP iteration limit, the deadline)
+/// neither donates — its leftover is failure, not surplus — nor draws,
+/// since more nodes would not fix it.
+NodeGrants grant_unused_nodes(const std::vector<NodeUse>& uses, std::size_t budget);
+
+/// Node-budget re-allocation counters of one retry pass.
+struct NodeBudgetTally {
+  std::size_t returned = 0;
+  std::size_t granted = 0;
+  std::size_t retried = 0;  ///< retry jobs run; 0 when the pass was cut short
+  std::size_t rescued = 0;  ///< retried queries decided by their grant
+};
+
+/// Pools the discoveries of one finished query under `key`: its
+/// validated witness and its B&B frontier near-miss, both prime stage-0
+/// attack starts. Called between passes in item order — never from a
+/// worker — so snapshots stay schedule-independent. Returns the number of
+/// points added.
+std::size_t contribute_witnesses(CounterexamplePool& pool, const std::string& key,
+                                 std::size_t order, const verify::VerificationResult& v);
+
+/// The scheduler campaigns and coverage rounds share: runs job lists on
+/// the worker pool and records, per job, whether it finished and whether
+/// it settled (finished without hitting the deadline inside).
+class BudgetedPass {
+ public:
+  /// Runs one query into the caller's slot for `job.item` and returns
+  /// that slot's verification result. Called from workers.
+  using Query = std::function<const verify::VerificationResult&(const BudgetedJob&)>;
+
+  BudgetedPass(std::size_t threads, const RunControl* run_control,
+               std::function<std::string(const BudgetedJob&)> label, Query query);
+
+  /// Runs every job. A worker fault propagates as ParallelPassError
+  /// after the pool drains; finished() and settled() still describe the
+  /// jobs of this pass, so the caller can salvage them.
+  void run(std::vector<BudgetedJob> jobs);
+
+  /// The retry pass: applies grant_unused_nodes to `uses` and runs the
+  /// granted jobs. `retried` and `rescued` count only a clean pass.
+  NodeBudgetTally retry(const std::vector<NodeUse>& uses, std::size_t budget);
+
+  const std::vector<BudgetedJob>& jobs() const { return jobs_; }
+  bool finished(std::size_t j) const { return state_[j] != kPending; }
+  bool settled(std::size_t j) const { return state_[j] >= kSettled; }
+  /// Every job of the last pass settled.
+  bool clean() const;
+
+ private:
+  enum State : char { kPending, kDeadlined, kSettled, kDecided };
+  std::size_t threads_;
+  const RunControl* run_control_;
+  std::function<std::string(const BudgetedJob&)> label_;
+  Query query_;
+  std::vector<BudgetedJob> jobs_;
+  std::vector<char> state_;  ///< per job; written by its worker only
+};
 
 }  // namespace dpv::core

@@ -126,9 +126,7 @@ WorkflowReport SafetyWorkflow::run(const std::string& property_name,
   // 2. Scalability: assume-guarantee verification over S̃ (or, when
   // configured for static analysis, over the normalized pixel box [0,1]^d0
   // of the paper's footnote 1).
-  AssumeGuaranteeConfig ag_config = config.assume_guarantee;
-  if (config.falsify_first) ag_config.verifier.falsify.enabled = true;
-  const AssumeGuaranteeVerifier verifier(ag_config);
+  const AssumeGuaranteeVerifier verifier(config.assume_guarantee);
   if (config.assume_guarantee.bounds == BoundsSource::kStaticAnalysis) {
     report.safety = verifier.verify(
         perception_, attach_layer_, &report.characterizer.network, risk, {},

@@ -34,7 +34,18 @@ class CounterexamplePool;
 
 struct WorkflowConfig {
   CharacterizerConfig characterizer = {};
-  AssumeGuaranteeConfig assume_guarantee = {};
+  /// Runs the staged falsify-then-prove pipeline by default
+  /// (staged_verifier_options): attack the risk margin first (UNSAFE
+  /// settles with a validated witness, no encoding), then try a zonotope
+  /// bound proof (cheap SAFE), and only survivors pay for the MILP.
+  /// Decided verdicts are compatible with a pipeline-off run — only
+  /// UNKNOWNs can improve. `assume_guarantee.verifier.falsify` tunes the
+  /// stages; `falsify.enabled = false` leaves the MILP alone.
+  AssumeGuaranteeConfig assume_guarantee = [] {
+    AssumeGuaranteeConfig ag;
+    ag.verifier = staged_verifier_options();
+    return ag;
+  }();
   /// Validation accuracy below which the property is reported as
   /// uncharacterizable at layer l (the paper's coin-flip observation).
   double min_separability = 0.75;
@@ -48,38 +59,18 @@ struct WorkflowConfig {
   std::size_t campaign_threads = 1;
   /// Per-entry MILP node budget applied by run_campaign on top of the
   /// verifier configuration (0 = keep assume_guarantee.verifier.milp
-  /// .max_nodes as configured).
-  std::size_t entry_node_budget = 0;
-  /// With `entry_node_budget > 0`: entries that finish under budget
-  /// return their unused nodes to a shared pool, and entries left
-  /// UNKNOWN by an exhausted node budget are re-run once with an even
-  /// share of the pool on top of their budget — easy entries donate to
-  /// hard ones instead of the surplus evaporating. Per-entry runs stay
+  /// .max_nodes as configured). Entries that finish under budget return
+  /// their unused nodes to a shared pool, and entries left UNKNOWN by an
+  /// exhausted node budget are re-run once with an even share of it on
+  /// top (core::grant_unused_nodes) — easy entries donate to hard ones
+  /// instead of the surplus evaporating. Per-entry runs stay
   /// independently seeded, so with serial per-entry searches
-  /// (`verifier.milp.threads == 1`, the default) the pool, the grants
-  /// and every retried verdict are deterministic and reports remain
-  /// bit-identical across campaign thread counts. (A parallel
-  /// budget-capped search is scheduling-dependent at the budget
-  /// boundary — see src/milp/branch_and_bound.hpp.) The redistribution
-  /// is recorded in CampaignReport.
-  bool reallocate_node_budget = true;
-  /// Share one verify::EncodingCache across all campaign entries: the
-  /// query-independent tail encoding is frozen on first use and entries
-  /// with the same abstraction only append their characterizer and risk
-  /// rows. Verdicts, counterexamples and report tables are bit-identical
-  /// either way (stamped problems equal fresh encodes row for row); only
-  /// encode time changes. Ignored when the verifier options already
-  /// carry a cache.
-  bool share_tail_encodings = true;
-  /// Staged falsify-then-prove pipeline (src/verify/falsifier.hpp):
-  /// attack the risk margin first (UNSAFE settles with a validated
-  /// witness, no encoding), then try a zonotope bound proof (cheap
-  /// SAFE), and only survivors pay for the MILP. Decided verdicts are
-  /// compatible with a pipeline-off run — only UNKNOWNs can improve.
-  /// Tune the stages via `assume_guarantee.verifier.falsify` (restarts,
-  /// steps, seed); this flag only flips `falsify.enabled` so a default
-  /// config gets the fast path without hand-wiring verifier options.
-  bool falsify_first = true;
+  /// (`verifier.milp.threads == 1`, the default) the grants and every
+  /// retried verdict are deterministic and reports remain bit-identical
+  /// across campaign thread counts. (A parallel budget-capped search is
+  /// scheduling-dependent at the budget boundary — see
+  /// src/milp/branch_and_bound.hpp.) Recorded in CampaignReport.
+  std::size_t entry_node_budget = 0;
   /// After an UNSAFE verdict, run train::concretize_activation from the
   /// first property training image to search the *input* space for an
   /// image whose layer-l features approach the activation witness (the

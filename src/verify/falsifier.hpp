@@ -44,8 +44,8 @@
 namespace dpv::verify {
 
 /// Tuning for the attack and bound-proof stages. Carried inside
-/// TailVerifierOptions; `enabled` is the master switch the workflow's
-/// `falsify_first` flag drives.
+/// TailVerifierOptions; `enabled` is the master switch (off here, on in
+/// the default verifier options of campaigns and coverage runs).
 struct FalsifyOptions {
   bool enabled = false;
   /// PGD starts: recycled seeds first, then the box midpoint, then

@@ -184,8 +184,9 @@ struct TailVerifierOptions {
   /// When `falsify.enabled`, verify() runs multi-start PGD on the risk
   /// margin first (UNSAFE settles with a validated witness and no
   /// encoding), then the zonotope bound proof (cheap SAFE), and only
-  /// survivors pay for the MILP. Off by default at this level; the
-  /// workflow's `falsify_first` flag turns it on for campaigns.
+  /// survivors pay for the MILP. Off by default at this level;
+  /// core::staged_verifier_options turns it on for campaigns and
+  /// coverage runs.
   FalsifyOptions falsify = {};
   /// Cooperative cancellation for the whole query: polled between
   /// pipeline stages and threaded into the falsifier, the root cut loop,

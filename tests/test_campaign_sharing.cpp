@@ -250,7 +250,8 @@ TEST(CampaignSharing, BudgetRetryPassTrainsNoCharacterizer) {
     sampled_max = std::max(sampled_max, net.forward(x)[0]);
   }
   WorkflowConfig config = base_config();
-  config.falsify_first = false;  // the B&B must actually run out of nodes
+  // The B&B must actually run out of nodes.
+  config.assume_guarantee.verifier.falsify.enabled = false;
 
   std::vector<CampaignEntry> entries;
   std::size_t hard_nodes = 0, easy_nodes = 0;

@@ -608,6 +608,39 @@ TEST(CoverageResume, CompletedCheckpointRestoresEveryRound) {
   EXPECT_EQ(resumed.map.format_map(), tb.reference_map);
 }
 
+TEST(CoverageResume, InjectedFaultResumesFromTheRoundStartCheckpoint) {
+  // A worker that dies mid-round aborts the run with ParallelPassError;
+  // the round-start checkpoint already on disk is the resume point, and
+  // the resumed run reproduces the uninterrupted table and map bit for
+  // bit. The fault lands after round 0's four cells, so at least one
+  // whole round is restored.
+  const ResumeCoverageTestbed& tb = coverage_testbed();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const std::string path = temp_path("ckpt_coverage_fault_" + std::to_string(threads));
+    fault::disarm_all();
+    fault::arm("core.worker_throw", 7);
+    CoverageOptions cut = coverage_options(tb.model.config);
+    cut.threads = threads;
+    cut.checkpoint_path = path;
+    EXPECT_THROW(run_coverage(tb.model.network, tb.model.attach_layer, tb.risk,
+                              coverage_domain(), cut),
+                 ParallelPassError)
+        << threads << " threads";
+    fault::disarm_all();
+
+    CoverageOptions cont = coverage_options(tb.model.config);
+    cont.threads = threads;
+    cont.checkpoint_path = path;
+    cont.resume = true;
+    const CoverageReport resumed = run_coverage(tb.model.network, tb.model.attach_layer,
+                                                tb.risk, coverage_domain(), cont);
+    EXPECT_GE(resumed.resume_rounds_restored, 1u) << threads << " threads";
+    EXPECT_FALSE(resumed.interrupted);
+    EXPECT_EQ(resumed.format_table(), tb.reference_table) << threads << " threads";
+    EXPECT_EQ(resumed.map.format_map(), tb.reference_map) << threads << " threads";
+  }
+}
+
 TEST(CoverageResume, MismatchedConfigThrows) {
   const ResumeCoverageTestbed& tb = coverage_testbed();
   const std::string path = temp_path("ckpt_coverage_mismatch");

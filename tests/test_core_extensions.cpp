@@ -2,10 +2,14 @@
 // generalized pair constraints + triangle relaxation.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/run_control.hpp"
 #include "core/campaign.hpp"
 #include "core/escalation.hpp"
 #include "nn/activations.hpp"
@@ -252,99 +256,172 @@ TEST(Campaign, AggregatesMultipleQueries) {
   EXPECT_NE(table.find("not characterizable"), std::string::npos);
 }
 
-TEST(Campaign, BudgetReallocationRescuesStarvedEntries) {
-  // Two trivially SAFE entries (root-infeasible, 1 node each) donate
-  // their unused per-entry budget to a proof that genuinely branches.
-  // The budget is derived from an uncapped probe run, so the test pins
-  // the mechanism — starve, pool, regrant, rescue — not magic numbers.
-  Rng rng(67);
+/// Two trivially SAFE entries (root-infeasible, 1 node each) that donate
+/// their unused per-entry budget to a proof that genuinely branches. The
+/// budget is derived from an uncapped probe run, so the tests pin the
+/// mechanism — starve, pool, regrant, rescue — not magic numbers.
+struct RescueBattery {
   nn::Network net;
-  auto d1 = std::make_unique<nn::Dense>(2, 8);
-  d1->init_he(rng);
-  net.add(std::move(d1));
-  net.add(std::make_unique<nn::ReLU>(Shape{8}));
-  auto d2 = std::make_unique<nn::Dense>(8, 1);
-  d2->init_he(rng);
-  net.add(std::move(d2));
-
-  const auto make_entries = [&](double hard_threshold) {
-    Rng data_rng(68);
-    verify::RiskSpec easy_a("far-out-a"), easy_b("far-out-b");
-    easy_a.output_at_least(0, 1, 1e7);
-    easy_b.output_at_least(0, 1, 2e7);
-    verify::RiskSpec hard("close-call");
-    hard.output_at_least(0, 1, hard_threshold);
-    std::vector<CampaignEntry> entries;
-    entries.push_back({"x0-positive", labelled_cloud(data_rng, 200, 0.0),
-                       labelled_cloud(data_rng, 100, 0.0), easy_a});
-    entries.push_back({"x0-positive", labelled_cloud(data_rng, 200, 0.0),
-                       labelled_cloud(data_rng, 100, 0.0), easy_b});
-    entries.push_back({"x0-positive", labelled_cloud(data_rng, 200, 0.0),
-                       labelled_cloud(data_rng, 100, 0.0), hard});
-    return entries;
-  };
-
-  double sampled_max = -1e100;
-  for (int i = 0; i < 200; ++i) {
-    const Tensor x = Tensor::vector1d({rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
-    sampled_max = std::max(sampled_max, net.forward(x)[0]);
-  }
-
-  WorkflowConfig config;
-  config.characterizer.trainer.epochs = 60;
-  // Node-budget mechanics need the B&B to actually run out of nodes;
-  // the staged pipeline would settle the easy entries without it.
-  config.falsify_first = false;
-
-  // Find a risk threshold whose uncapped search needs real branching
-  // (near the reachable boundary either verdict qualifies — a starved
-  // UNSAFE hunt is rescued the same way as a starved proof).
   std::vector<CampaignEntry> entries;
+  WorkflowConfig config;  ///< staged pipeline off, no node budget
   CampaignReport uncapped;
-  std::size_t hard_nodes = 0, easy_nodes_total = 0;
-  for (const double margin : {0.05, 0.1, 0.25, 0.5, 1.0}) {
-    entries = make_entries(sampled_max + margin);
-    uncapped = run_campaign(net, 2, entries, config);
-    hard_nodes = uncapped.reports[2].safety.verification.milp_nodes;
-    easy_nodes_total = uncapped.reports[0].safety.verification.milp_nodes +
-                       uncapped.reports[1].safety.verification.milp_nodes;
-    if (hard_nodes >= 3) break;
-  }
-  if (hard_nodes < 3) GTEST_SKIP() << "no branching proof found on this testbed";
-  EXPECT_EQ(uncapped.budget_entries_retried, 0u);  // no budget, no pooling
+  std::size_t hard_nodes = 0;
+  std::size_t easy_nodes_total = 0;
+  /// Low enough to starve the hard entry, high enough that the pooled
+  /// surplus rescues it: 3B >= hard + easy and B < hard.
+  std::size_t budget = 0;
+};
 
-  // Budget low enough to starve the hard entry, high enough that the
-  // pooled surplus rescues it: 3B >= hard + easy and B < hard.
-  const std::size_t budget =
-      std::max<std::size_t>((hard_nodes + easy_nodes_total + 2) / 3, 2);
-  ASSERT_LT(budget, hard_nodes);
+const RescueBattery& rescue_battery() {
+  static const RescueBattery instance = [] {
+    RescueBattery b;
+    Rng rng(67);
+    auto d1 = std::make_unique<nn::Dense>(2, 8);
+    d1->init_he(rng);
+    b.net.add(std::move(d1));
+    b.net.add(std::make_unique<nn::ReLU>(Shape{8}));
+    auto d2 = std::make_unique<nn::Dense>(8, 1);
+    d2->init_he(rng);
+    b.net.add(std::move(d2));
 
-  WorkflowConfig capped = config;
-  capped.entry_node_budget = budget;
-  capped.reallocate_node_budget = false;
-  const CampaignReport starved = run_campaign(net, 2, entries, capped);
-  EXPECT_EQ(starved.reports[2].safety.verdict, SafetyVerdict::kUnknown);
-  EXPECT_TRUE(starved.reports[2].safety.verification.hit_node_limit);
-  EXPECT_EQ(starved.budget_entries_retried, 0u);
+    const auto make_entries = [&](double hard_threshold) {
+      Rng data_rng(68);
+      verify::RiskSpec easy_a("far-out-a"), easy_b("far-out-b");
+      easy_a.output_at_least(0, 1, 1e7);
+      easy_b.output_at_least(0, 1, 2e7);
+      verify::RiskSpec hard("close-call");
+      hard.output_at_least(0, 1, hard_threshold);
+      std::vector<CampaignEntry> entries;
+      entries.push_back({"x0-positive", labelled_cloud(data_rng, 200, 0.0),
+                         labelled_cloud(data_rng, 100, 0.0), easy_a});
+      entries.push_back({"x0-positive", labelled_cloud(data_rng, 200, 0.0),
+                         labelled_cloud(data_rng, 100, 0.0), easy_b});
+      entries.push_back({"x0-positive", labelled_cloud(data_rng, 200, 0.0),
+                         labelled_cloud(data_rng, 100, 0.0), hard});
+      return entries;
+    };
 
-  capped.reallocate_node_budget = true;
-  const CampaignReport rescued = run_campaign(net, 2, entries, capped);
+    double sampled_max = -1e100;
+    for (int i = 0; i < 200; ++i) {
+      const Tensor x = Tensor::vector1d({rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
+      sampled_max = std::max(sampled_max, b.net.forward(x)[0]);
+    }
+
+    b.config.characterizer.trainer.epochs = 60;
+    // Node-budget mechanics need the B&B to actually run out of nodes;
+    // the staged pipeline would settle the easy entries without it.
+    b.config.assume_guarantee.verifier.falsify.enabled = false;
+
+    // Find a risk threshold whose uncapped search needs real branching
+    // (near the reachable boundary either verdict qualifies — a starved
+    // UNSAFE hunt is rescued the same way as a starved proof).
+    for (const double margin : {0.05, 0.1, 0.25, 0.5, 1.0}) {
+      b.entries = make_entries(sampled_max + margin);
+      b.uncapped = run_campaign(b.net, 2, b.entries, b.config);
+      b.hard_nodes = b.uncapped.reports[2].safety.verification.milp_nodes;
+      b.easy_nodes_total = b.uncapped.reports[0].safety.verification.milp_nodes +
+                           b.uncapped.reports[1].safety.verification.milp_nodes;
+      if (b.hard_nodes >= 3) break;
+    }
+    if (b.hard_nodes >= 3)
+      b.budget = std::max<std::size_t>((b.hard_nodes + b.easy_nodes_total + 2) / 3, 2);
+    return b;
+  }();
+  return instance;
+}
+
+TEST(Campaign, BudgetReallocationRescuesStarvedEntries) {
+  const RescueBattery& b = rescue_battery();
+  if (b.budget == 0) GTEST_SKIP() << "no branching proof found on this testbed";
+  EXPECT_EQ(b.uncapped.budget_entries_retried, 0u);  // no budget, no pooling
+  ASSERT_LT(b.budget, b.hard_nodes);
+
+  // The capped first pass starves the hard entry: only a node-limit
+  // UNKNOWN is ever retried (grant_unused_nodes), and the retry's grant
+  // then settles it as the uncapped run did.
+  WorkflowConfig capped = b.config;
+  capped.entry_node_budget = b.budget;
+  const CampaignReport rescued = run_campaign(b.net, 2, b.entries, capped);
   EXPECT_EQ(rescued.budget_nodes_returned,
-            2 * budget - easy_nodes_total);  // both easy entries donate
+            2 * b.budget - b.easy_nodes_total);  // both easy entries donate
   EXPECT_EQ(rescued.budget_entries_retried, 1u);
   EXPECT_EQ(rescued.budget_nodes_granted, rescued.budget_nodes_returned);
   EXPECT_EQ(rescued.budget_entries_rescued, 1u);
-  EXPECT_EQ(rescued.reports[2].safety.verdict, uncapped.reports[2].safety.verdict);
-  EXPECT_EQ(rescued.format_table(), uncapped.format_table());
+  EXPECT_EQ(rescued.reports[2].safety.verdict, b.uncapped.reports[2].safety.verdict);
+  EXPECT_EQ(rescued.format_table(), b.uncapped.format_table());
   EXPECT_NE(rescued.format_encoding_summary().find("budget:"), std::string::npos);
 
-  // The PR 2 guarantee extends through re-allocation: tables are
+  // The determinism guarantee extends through re-allocation: tables are
   // bit-identical across campaign thread counts.
   WorkflowConfig threaded = capped;
   threaded.campaign_threads = 2;
-  const CampaignReport parallel_rescued = run_campaign(net, 2, entries, threaded);
+  const CampaignReport parallel_rescued = run_campaign(b.net, 2, b.entries, threaded);
   EXPECT_EQ(parallel_rescued.format_table(), rescued.format_table());
   EXPECT_EQ(parallel_rescued.budget_entries_rescued, rescued.budget_entries_rescued);
+}
+
+TEST(Campaign, DeadlineInTheBudgetRetryPassIsHonestAndResumes) {
+  // A deadline can land after the first pass settled, inside the retry
+  // pass. The report must then be interrupted with the cut entry marked
+  // deadline-skipped (not a plain resource-limit UNKNOWN), and a resume
+  // must reproduce the uninterrupted table. Serial polling is
+  // deterministic, so the smallest poll budget that completes the run is
+  // found by bisection; one poll less cuts the retry pass, whose polls
+  // are the run's last.
+  const RescueBattery& b = rescue_battery();
+  if (b.budget == 0) GTEST_SKIP() << "no branching proof found on this testbed";
+  WorkflowConfig capped = b.config;
+  capped.entry_node_budget = b.budget;
+  const std::string reference = run_campaign(b.net, 2, b.entries, capped).format_table();
+  const std::string path = ::testing::TempDir() + "campaign_retry_deadline";
+
+  const auto run_cut = [&](std::uint64_t polls) {
+    std::remove(path.c_str());
+    RunControl rc;
+    rc.set_poll_budget(polls);
+    WorkflowConfig cut = capped;
+    cut.run_control = &rc;
+    cut.checkpoint_path = path;
+    return run_campaign(b.net, 2, b.entries, cut);
+  };
+  const auto resume = [&] {
+    WorkflowConfig cont = capped;
+    cont.checkpoint_path = path;
+    cont.resume = true;
+    return run_campaign(b.net, 2, b.entries, cont);
+  };
+
+  // Doubling grid (cuts in the first pass), then bisection for the
+  // smallest completing budget.
+  std::uint64_t lo = 0, hi = 1;
+  for (; run_cut(hi).interrupted; hi *= 2) {
+    lo = hi;
+    const CampaignReport resumed = resume();
+    EXPECT_FALSE(resumed.interrupted) << "budget " << hi;
+    EXPECT_EQ(resumed.format_table(), reference) << "budget " << hi;
+    ASSERT_LT(hi, std::uint64_t{1} << 30);
+  }
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (run_cut(mid).interrupted ? lo : hi) = mid;
+  }
+  EXPECT_EQ(run_cut(hi).format_table(), reference);
+
+  const CampaignReport cut = run_cut(lo);
+  ASSERT_TRUE(cut.interrupted);
+  EXPECT_EQ(cut.budget_entries_retried, 0u);  // the cut retry is not counted
+  EXPECT_TRUE(cut.reports[2].deadline_skipped);
+  EXPECT_FALSE(cut.reports[0].deadline_skipped);
+  EXPECT_FALSE(cut.reports[1].deadline_skipped);
+  EXPECT_NE(cut.format_table().find("UNKNOWN (deadline-skipped)"), std::string::npos);
+  EXPECT_NE(cut.format_table().find("run interrupted by deadline"), std::string::npos);
+
+  const CampaignReport resumed = resume();
+  EXPECT_EQ(resumed.resume_entries_restored, b.entries.size());  // first pass had settled
+  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_EQ(resumed.budget_entries_retried, 1u);
+  EXPECT_EQ(resumed.format_table(), reference);
+  std::remove(path.c_str());
 }
 
 TEST(Campaign, RejectsEmptyEntryList) {

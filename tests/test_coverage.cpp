@@ -255,7 +255,8 @@ TEST(CoverageRun, SoundnessOfSafeCells) {
       const Tensor image = data::render_road_image(s, options.render);
       const Tensor output = tb.model.network.forward(image);
       // Certified cell: no build sample may sit in the risk region.
-      EXPECT_LT(tb.risk.min_margin(output), options.require_margin) << "cell " << id;
+      EXPECT_LT(tb.risk.min_margin(output), options.verifier.falsify.require_margin)
+          << "cell " << id;
       // Conditional proofs must deploy a monitor that admits its own
       // support (margin >= 0 guarantees containment of build samples).
       if (cell.verdict == SafetyVerdict::kSafeConditional) {
@@ -302,7 +303,8 @@ TEST(CoverageRun, SoundnessOfUnsafeCells) {
       const Tensor image =
           data::render_road_image(cell.counterexample_scenario, options.render);
       const Tensor output = tb.model.network.forward(image);
-      EXPECT_GE(tb.risk.min_margin(output), options.require_margin) << "cell " << cell.id;
+      EXPECT_GE(tb.risk.min_margin(output), options.verifier.falsify.require_margin)
+          << "cell " << cell.id;
       ++scenario_witnesses;
     } else {
       // Abstract witness: validated at layer l; re-run the real tail.
@@ -384,10 +386,10 @@ TEST(CoverageDeterminism, DecidedCellsAgreeAcrossFalsifyModes) {
   const CoverageTestbed& tb = coverage_testbed();
   CoverageOptions options = fast_options(tb.model.config);
   options.max_rounds = 2;
-  options.falsify_first = true;
+  options.verifier.falsify.enabled = true;
   const CoverageReport with_falsify = run_coverage(tb.model.network, tb.model.attach_layer,
                                                    tb.risk, run_domain(), options);
-  options.falsify_first = false;
+  options.verifier.falsify.enabled = false;
   const CoverageReport without = run_coverage(tb.model.network, tb.model.attach_layer,
                                               tb.risk, run_domain(), options);
   // Cells are matched by lineage hash (same hash -> same box and same

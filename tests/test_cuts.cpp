@@ -439,7 +439,7 @@ TEST(CutPlumbing, CampaignAggregatesCutCounters) {
   config.assume_guarantee.verifier.milp.cuts.root_rounds = 4;
   // Cut counters only accumulate in the B&B; keep the staged pipeline
   // from settling these queries before the engine runs.
-  config.falsify_first = false;
+  config.assume_guarantee.verifier.falsify.enabled = false;
   const core::CampaignReport report = core::run_campaign(net, 1, entries, config);
   EXPECT_GT(report.milp_nodes, 0u);
   EXPECT_GT(report.cut_rounds + report.cuts_added, 0u);

@@ -602,7 +602,8 @@ TEST(DeltaCampaign, RecertificationMatchesColdRunAndSavesNextBundle) {
 
   core::WorkflowConfig config;
   config.characterizer.trainer.epochs = 60;
-  config.falsify_first = false;  // every usable entry reaches the MILP
+  // Every usable entry reaches the MILP.
+  config.assume_guarantee.verifier.falsify.enabled = false;
   const std::string bundle_v1 = temp_path("delta_campaign_v1");
   const std::string bundle_v2 = temp_path("delta_campaign_v2");
 

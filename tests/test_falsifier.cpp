@@ -321,9 +321,9 @@ TEST(StagedCampaign, VerdictCompatibilityAcrossFalsifyAndThreads) {
 
   WorkflowConfig off;
   off.characterizer.trainer.epochs = 40;
-  off.falsify_first = false;
+  off.assume_guarantee.verifier.falsify.enabled = false;
   WorkflowConfig on = off;
-  on.falsify_first = true;
+  on.assume_guarantee.verifier.falsify.enabled = true;
 
   const CampaignReport report_off = run_campaign(net, 2, entries, off);
   const CampaignReport report_on = run_campaign(net, 2, entries, on);

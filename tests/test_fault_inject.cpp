@@ -266,8 +266,7 @@ TEST_F(FaultInjectTest, WorkerThrowStopsClaimingButFinishedWorkStands) {
   // 2 dies, jobs 3+ are never claimed — a deterministic partial pass.
   std::vector<int> done(8, 0);
   fault::arm("core.worker_throw", 3);
-  EXPECT_THROW(core::run_parallel_pass(done.size(), 1, [&](std::size_t j) { done[j] = 1; },
-                                       core::ParallelPassOptions{}),
+  EXPECT_THROW(core::run_parallel_pass(done.size(), 1, [&](std::size_t j) { done[j] = 1; }, {}),
                core::ParallelPassError);
   EXPECT_EQ(done[0], 1);
   EXPECT_EQ(done[1], 1);

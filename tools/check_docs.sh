@@ -89,7 +89,7 @@ check_symbol src/solver  "best_bound_gap"
 check_symbol src/absint  "leaky_relu"
 check_symbol src/verify  "risk_margin_objective"
 check_symbol src/verify  "default_verifier_milp_options"
-check_symbol src/core    "reallocate_node_budget"
+check_symbol src/core    "grant_unused_nodes"
 check_symbol src/milp    "remove_rows"
 check_symbol src/milp    "root_age_limit"
 check_symbol src/milp    "warm_root"
@@ -128,7 +128,7 @@ check_symbol src/verify  "frontier_activation"
 check_symbol src/verify  "min_margin"
 check_symbol src/verify  "validation_tolerance"
 check_symbol src/milp    "frontier_values"
-check_symbol src/core    "falsify_first"
+check_symbol src/core    "BudgetedPass"
 check_symbol src/core    "concretize_witnesses"
 check_symbol src/core    "counterexample_pool"
 check_symbol src/core    "CounterexamplePool"
