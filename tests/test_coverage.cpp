@@ -382,6 +382,56 @@ TEST(CoverageDeterminism, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.rounds[r].milp_nodes, parallel.rounds[r].milp_nodes);
 }
 
+TEST(CoverageDeterminism, NodeBudgetRetryIsBitIdenticalAcrossThreadCounts) {
+  // With the staged pipeline off every monitor query reaches the MILP,
+  // and this risk band makes a few of them branch. A per-cell budget one
+  // node below the run's hardest search starves that cell (earlier
+  // rounds, whose searches fit the budget, are unchanged); the other
+  // cells of its round donate their unused nodes to its retry. The
+  // budget comes from an uncapped probe, so the test pins the mechanism
+  // rather than node counts.
+  const CoverageTestbed& tb = coverage_testbed();
+  verify::RiskSpec risk("heading-left");
+  risk.output_at_most(1, 2, -0.45);
+  CoverageOptions options = fast_options(tb.model.config);
+  options.verifier.falsify.enabled = false;
+  options.cell_node_budget = 0;
+  const CoverageReport probe = run_coverage(tb.model.network, tb.model.attach_layer, risk,
+                                            run_domain(), options);
+  std::size_t hardest = 0;
+  for (const CoverageCell& cell : probe.map.cells())
+    hardest = std::max(hardest, cell.safety.verification.milp_nodes);
+  if (hardest < 3) GTEST_SKIP() << "no branching cell on this testbed";
+
+  options.cell_node_budget = hardest - 1;
+  const CoverageReport serial = run_coverage(tb.model.network, tb.model.attach_layer, risk,
+                                             run_domain(), options);
+  std::size_t retried = 0;
+  for (const CoverageRound& r : serial.rounds) {
+    retried += r.budget_cells_retried;
+    EXPECT_LE(r.budget_nodes_granted, r.budget_nodes_returned) << "round " << r.round;
+    EXPECT_LE(r.budget_cells_rescued, r.budget_cells_retried) << "round " << r.round;
+  }
+  EXPECT_GE(retried, 1u);
+  EXPECT_NE(serial.format_summary().find("budget:"), std::string::npos);
+
+  options.threads = 4;
+  const CoverageReport parallel = run_coverage(tb.model.network, tb.model.attach_layer,
+                                               risk, run_domain(), options);
+  EXPECT_EQ(serial.format_table(), parallel.format_table());
+  EXPECT_EQ(serial.map.format_map(), parallel.map.format_map());
+  ASSERT_EQ(serial.rounds.size(), parallel.rounds.size());
+  for (std::size_t k = 0; k < serial.rounds.size(); ++k) {
+    const CoverageRound& a = serial.rounds[k];
+    const CoverageRound& b = parallel.rounds[k];
+    EXPECT_EQ(a.budget_nodes_returned, b.budget_nodes_returned) << "round " << k;
+    EXPECT_EQ(a.budget_nodes_granted, b.budget_nodes_granted) << "round " << k;
+    EXPECT_EQ(a.budget_cells_retried, b.budget_cells_retried) << "round " << k;
+    EXPECT_EQ(a.budget_cells_rescued, b.budget_cells_rescued) << "round " << k;
+    EXPECT_EQ(a.milp_nodes, b.milp_nodes) << "round " << k;
+  }
+}
+
 TEST(CoverageDeterminism, DecidedCellsAgreeAcrossFalsifyModes) {
   const CoverageTestbed& tb = coverage_testbed();
   CoverageOptions options = fast_options(tb.model.config);
