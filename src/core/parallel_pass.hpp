@@ -160,6 +160,8 @@ class BudgetedPass {
   bool clean() const;
 
  private:
+  /// Not finished; finished with the deadline hit inside; settled
+  /// UNKNOWN; settled with a verdict.
   enum State : char { kPending, kDeadlined, kSettled, kDecided };
   std::size_t threads_;
   const RunControl* run_control_;
