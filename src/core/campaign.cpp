@@ -477,28 +477,31 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
     }
   }
 
-  // Per-property preparation, shared across risks: the first job of a
-  // feature group forwards its images to layer l and builds S̃, the first
-  // job of a characterizer group fits h_l^phi on those features, and
-  // every other job of the group waits for (or finds) the result. Both
-  // passes draw on the same slots, so a budget retry prepares nothing.
-  // Preparation is lazy: a group whose entries were all restored from a
-  // checkpoint is never prepared.
+  // Per-property preparation, shared across risks: each feature group
+  // forwards its images to layer l and builds S̃ once, the first job of a
+  // characterizer group fits h_l^phi on those features, and every other
+  // job of the group waits for (or finds) the result. Both passes draw on
+  // the same slots, so a budget retry prepares nothing. Only groups with
+  // an entry left to run are prepared: a group whose entries were all
+  // restored from a checkpoint never is.
   std::vector<SharedOnce<std::shared_ptr<const PropertyFeatures>>> feature_slots(
       groups.feature_groups);
   std::vector<SharedOnce<PreparedProperty>> characterizer_slots(groups.characterizer_groups);
   std::atomic<std::size_t> characterizers_trained{0};
   std::atomic<std::size_t> feature_images{0};
+  const auto property_features = [&](std::size_t i) {
+    const CampaignEntry& e = entries[i];
+    return feature_slots[groups.feature_group[i]].get([&] {
+      feature_images += e.property_train.size() + e.property_val.size();
+      return workflow.extract_features(e.property_train, e.property_val, entry_config);
+    });
+  };
   const auto prepared_property = [&](std::size_t i) -> const PreparedProperty& {
     const CampaignEntry& e = entries[i];
     return characterizer_slots[groups.characterizer_group[i]].get([&] {
       if (fault::should_fire("core.prepare_throw"))
         throw std::runtime_error("fault injection: core.prepare_throw");
-      std::shared_ptr<const PropertyFeatures> features =
-          feature_slots[groups.feature_group[i]].get([&] {
-            feature_images += e.property_train.size() + e.property_val.size();
-            return workflow.extract_features(e.property_train, e.property_val, entry_config);
-          });
+      std::shared_ptr<const PropertyFeatures> features = property_features(i);
       ++characterizers_trained;
       return workflow.prepare(e.property_train, e.property_val, std::move(features),
                               entry_config);
@@ -566,6 +569,20 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
   std::vector<BudgetedJob> first_pass;
   for (std::size_t i = 0; i < entries.size(); ++i)
     if (!settled[i]) first_pass.push_back({i, 0});
+  // Features up front, one group at a time, each forwarded over the whole
+  // worker pool: inside the group's first job they would hold up every
+  // other representative waiting on the slot. A failed extraction stays
+  // recorded in its slot and fails, wrapped, each job that needs it.
+  std::vector<char> extracted(groups.feature_groups, 0);
+  for (const BudgetedJob& job : first_pass) {
+    char& done = extracted[groups.feature_group[job.item]];
+    if (done) continue;
+    done = 1;
+    try {
+      property_features(job.item);
+    } catch (...) {
+    }
+  }
   representatives_first(first_pass, groups);
   try {
     pass.run(std::move(first_pass));

@@ -4,10 +4,10 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/fault_inject.hpp"
+#include "common/worker_pool.hpp"
 #include "core/counterexample_pool.hpp"
 #include "verify/verifier.hpp"
 
@@ -41,16 +41,16 @@ namespace {
 void run_parallel_pass(std::size_t count, std::size_t threads,
                        const std::function<void(std::size_t)>& job,
                        const ParallelPassOptions& options) {
-  if (count == 0) return;
   std::atomic<std::size_t> next_job{0};
   // One-way stop latch: set on the first failure so *every* worker —
-  // not just the throwing one — stops claiming new jobs and the pool
+  // not just the throwing one — stops claiming new jobs and the pass
   // drains promptly. Completed slots stay valid either way.
   std::atomic<bool> stop{false};
   std::mutex error_mutex;
   std::exception_ptr error;
   std::size_t error_job = 0;
-  const auto worker = [&] {
+  const std::size_t workers = std::min(std::max<std::size_t>(threads, 1), count);
+  parallel_for(workers, workers, [&](std::size_t) {
     while (true) {
       if (stop.load(std::memory_order_relaxed)) return;
       if (run_expired(options.run_control)) return;
@@ -70,16 +70,7 @@ void run_parallel_pass(std::size_t count, std::size_t threads,
         return;
       }
     }
-  };
-  const std::size_t thread_count = std::min(std::max<std::size_t>(threads, 1), count);
-  if (thread_count <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(thread_count);
-    for (std::size_t t = 0; t < thread_count; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+  });
   if (error) rethrow_wrapped(error_job, options, error);
 }
 

@@ -1,9 +1,10 @@
-// Deterministic fan-out of independent jobs over a worker pool, and the
+// Deterministic fan-out of independent jobs over the worker pool, and the
 // budgeted two-pass scheduler built on it.
 //
 // The campaign runner and the scenario-coverage engine share one
 // parallelism pattern: a fixed job list, each job writing only to its
-// own result slot, claimed off an atomic counter by `threads` workers.
+// own result slot, claimed off an atomic counter by up to `threads`
+// threads of the process-wide pool (src/common/worker_pool.hpp).
 // Nothing a job computes may depend on claim order, so results are
 // bit-identical across thread counts — the property every determinism
 // test in this repo leans on. This header is that pattern, once.
@@ -17,7 +18,7 @@
 // tables bit-identical across thread counts too.
 //
 // Fault and deadline behavior: once any job throws, every worker stops
-// claiming new jobs (already-running jobs finish), the pool drains, and
+// claiming new jobs (already-running jobs finish), the pass drains, and
 // the first-recorded exception is rethrown — wrapped in
 // ParallelPassError so the caller learns *which* job failed, not just
 // that one did. Results of jobs that completed before the stop are
@@ -75,9 +76,10 @@ struct ParallelPassOptions {
   std::function<std::string(std::size_t)> job_label;
 };
 
-/// Runs `job(i)` for every i in [0, count) on up to `threads` workers
-/// (<= 1: inline on the calling thread). Blocks until the pool drains.
-/// If any job throws, all workers stop claiming and the first exception
+/// Runs `job(i)` for every i in [0, count) on up to `threads` pool
+/// threads (<= 1: inline on the calling thread). Blocks until every
+/// started job has finished. If any job throws, all workers stop
+/// claiming and the first exception
 /// (by record order) is rethrown as ParallelPassError with the failing
 /// job's identity and the original exception nested. Jobs must be
 /// independent: they may not observe each other's effects or any

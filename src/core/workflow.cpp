@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/worker_pool.hpp"
 #include "train/adversarial.hpp"
 
 namespace dpv::core {
@@ -48,16 +49,17 @@ std::shared_ptr<const PropertyFeatures> SafetyWorkflow::extract_features(
     const WorkflowConfig& config) const {
   check(!property_train.empty(), "SafetyWorkflow: empty property training set");
   check(!property_val.empty(), "SafetyWorkflow: empty property validation set");
-  const auto forward_all = [this](const train::Dataset& images) {
-    std::vector<Tensor> out;
-    out.reserve(images.size());
-    for (const train::Sample& s : images.samples())
-      out.push_back(perception_.forward_prefix(s.input, attach_layer_));
-    return out;
-  };
   auto features = std::make_shared<PropertyFeatures>();
-  features->train = forward_all(property_train);
-  features->val = forward_all(property_val);
+  const std::size_t n_train = property_train.size();
+  features->train.resize(n_train);
+  features->val.resize(property_val.size());
+  parallel_for(n_train + property_val.size(), pool_width(), [&](std::size_t i) {
+    if (i < n_train)
+      features->train[i] = perception_.forward_prefix(property_train[i].input, attach_layer_);
+    else
+      features->val[i - n_train] =
+          perception_.forward_prefix(property_val[i - n_train].input, attach_layer_);
+  });
   // S̃ from the ODD training features (the paper's footnote-1 static
   // analysis over [0,1]^d0 needs none).
   if (config.assume_guarantee.bounds != BoundsSource::kStaticAnalysis) {

@@ -180,7 +180,8 @@ class SafetyWorkflow {
   /// depth l (feature width = input of layer l).
   SafetyWorkflow(const nn::Network& perception, std::size_t attach_layer);
 
-  /// Forwards the training and validation images to layer l once and,
+  /// Forwards the training and validation images to layer l once (in
+  /// parallel over images on the worker pool) and,
   /// for monitor bounds sources, builds S̃ from the training features
   /// (the monitor record_activations + DiffMonitor::from_activations
   /// would give). Labels are ignored.

@@ -1,21 +1,22 @@
 #include "data/dataset_gen.hpp"
 
 #include "common/check.hpp"
+#include "common/worker_pool.hpp"
 
 namespace dpv::data {
 
 std::vector<RoadSample> generate_road_samples(const RoadDatasetConfig& config) {
   check(config.count > 0, "generate_road_samples: count must be positive");
+  // Scenarios come serially off the one seeded stream; each image's noise
+  // comes from its scenario's own noise_seed, so rendering in parallel
+  // gives the same bytes as rendering in order.
   Rng rng(config.seed);
-  std::vector<RoadSample> samples;
-  samples.reserve(config.count);
-  for (std::size_t i = 0; i < config.count; ++i) {
-    RoadSample sample;
-    sample.scenario = sample_scenario(rng);
-    sample.image = render_road_image(sample.scenario, config.render);
-    sample.affordances = ground_truth_affordances(sample.scenario);
-    samples.push_back(std::move(sample));
-  }
+  std::vector<RoadSample> samples(config.count);
+  for (RoadSample& sample : samples) sample.scenario = sample_scenario(rng);
+  parallel_for(samples.size(), pool_width(), [&](std::size_t i) {
+    samples[i].image = render_road_image(samples[i].scenario, config.render);
+    samples[i].affordances = ground_truth_affordances(samples[i].scenario);
+  });
   return samples;
 }
 

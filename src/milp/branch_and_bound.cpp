@@ -7,11 +7,11 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/worker_pool.hpp"
 #include "milp/cuts/cut_engine.hpp"
 #include "milp/search/branching_rule.hpp"
 #include "milp/search/frontier.hpp"
@@ -573,15 +573,9 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
     workers.push_back(std::make_unique<Worker>(t, *active, options, shared, frontier,
                                                pseudocosts.get()));
 
-  if (thread_count == 1) {
-    workers[0]->run();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(thread_count);
-    for (auto& worker : workers)
-      pool.emplace_back([&worker] { worker->run(); });
-    for (std::thread& t : pool) t.join();
-  }
+  // Workers the pool cannot start at once run after the search is over
+  // and see kDone; termination counts open nodes, never workers.
+  parallel_for(thread_count, thread_count, [&workers](std::size_t t) { workers[t]->run(); });
   if (shared.error) std::rethrow_exception(shared.error);
 
   MilpResult result;

@@ -152,10 +152,6 @@ Tensor BatchNorm::forward_train(const Tensor&, std::size_t) {
   throw InternalError("BatchNorm: per-sample training path is not used");
 }
 
-Tensor BatchNorm::backward_sample(const Tensor&, std::size_t) {
-  throw InternalError("BatchNorm: per-sample training path is not used");
-}
-
 void BatchNorm::prepare_cache(std::size_t) {}
 
 }  // namespace dpv::nn

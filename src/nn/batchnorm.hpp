@@ -50,7 +50,6 @@ class BatchNorm : public Layer {
   // Per-sample hooks are unused: BatchNorm overrides the batch API because
   // training-mode normalization couples samples through batch statistics.
   Tensor forward_train(const Tensor& x, std::size_t slot) override;
-  Tensor backward_sample(const Tensor& grad_out, std::size_t slot) override;
   void prepare_cache(std::size_t batch_size) override;
 
  private:

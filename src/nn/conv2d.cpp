@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/worker_pool.hpp"
 
 namespace dpv::nn {
 
@@ -137,20 +138,32 @@ Tensor Conv2D::forward_train(const Tensor& x, std::size_t slot) {
   return forward_padded(x, cached_padded_[slot]);
 }
 
-Tensor Conv2D::backward_sample(const Tensor& grad_out, std::size_t slot) {
-  Tensor gx = backward_input(Tensor(), grad_out);  // checks the gradient size
+std::vector<Tensor> Conv2D::backward_batch(const std::vector<Tensor>& grad_out) {
+  check_backward_batch(grad_out.size());
+  const std::size_t n = grad_out.size(), threads = batch_threads(n);
+  std::vector<Tensor> gxs(n);
+  parallel_for(n, threads,  // backward_input checks every gradient's size
+               [&](std::size_t s) { gxs[s] = backward_input(Tensor(), grad_out[s]); });
   const std::size_t ph = in_height_ + 2 * padding_, pw = in_width_ + 2 * padding_;
   const std::size_t plane = out_height_ * out_width_;
-  const double* xp = cached_padded_[slot].data();
-  const double* g = grad_out.data().data();
-  for (std::size_t oc = 0; oc < out_channels_; ++oc)
-    for (std::size_t i = 0; i < plane; ++i) bias_grad_[oc] += g[oc * plane + i];
-  // Weight gradients: one in-order sum over the output cells per tap, four
-  // taps at a time as independent chains (a short last group repeats its
-  // last tap). Padding cells are zeros, so no bounds branch.
-  const std::size_t taps = weight_.numel(), k2 = kernel_ * kernel_;
+  const std::size_t taps = weight_.numel(), k2 = kernel_ * kernel_, groups = (taps + 3) / 4;
   double* wg = weight_grad_.data().data();
-  for (std::size_t t0 = 0; t0 < taps; t0 += 4) {
+  // Units [0, groups) each own four taps; the rest own one bias entry.
+  // Every chain adds samples in order and, within a sample, cells in
+  // order, whichever thread runs it: the bytes do not depend on `threads`.
+  parallel_for(groups + out_channels_, threads, [&](std::size_t unit) {
+    if (unit >= groups) {
+      const std::size_t oc = unit - groups;
+      double acc = bias_grad_[oc];
+      for (const Tensor& g : grad_out)
+        for (std::size_t i = 0; i < plane; ++i) acc += g[oc * plane + i];
+      bias_grad_[oc] = acc;
+      return;
+    }
+    // Weight gradients: one in-order sum over the output cells per tap,
+    // four taps at a time as independent chains (a short last group
+    // repeats its last tap). Padding cells are zeros, so no bounds branch.
+    const std::size_t t0 = 4 * unit;
     double acc[4];
     std::size_t goff[4], xoff[4];
     for (std::size_t j = 0; j < 4; ++j) {
@@ -159,15 +172,19 @@ Tensor Conv2D::backward_sample(const Tensor& grad_out, std::size_t slot) {
       goff[j] = t / (in_channels_ * k2) * plane;
       xoff[j] = (t / k2 % in_channels_ * ph + tap / kernel_) * pw + tap % kernel_;
     }
-    for (std::size_t orow = 0, cell = 0; orow < out_height_; ++orow)
-      for (std::size_t ocol = 0; ocol < out_width_; ++ocol, ++cell) {
-        const std::size_t at = orow * stride_ * pw + ocol * stride_;
-        for (std::size_t j = 0; j < 4; ++j)
-          acc[j] = fused(g[goff[j] + cell], xp[xoff[j] + at], acc[j]);
-      }
+    for (std::size_t s = 0; s < n; ++s) {
+      const double* xp = cached_padded_[s].data();
+      const double* g = grad_out[s].data().data();
+      for (std::size_t orow = 0, cell = 0; orow < out_height_; ++orow)
+        for (std::size_t ocol = 0; ocol < out_width_; ++ocol, ++cell) {
+          const std::size_t at = orow * stride_ * pw + ocol * stride_;
+          for (std::size_t j = 0; j < 4; ++j)
+            acc[j] = fused(g[goff[j] + cell], xp[xoff[j] + at], acc[j]);
+        }
+    }
     for (std::size_t j = 0; j < 4 && t0 + j < taps; ++j) wg[t0 + j] = acc[j];
-  }
-  return gx;
+  });
+  return gxs;
 }
 
 void Conv2D::prepare_cache(std::size_t batch_size) { cached_padded_.resize(batch_size); }

@@ -29,6 +29,9 @@ class Conv2D : public Layer {
 
   Tensor forward(const Tensor& x) const override;
   Tensor backward_input(const Tensor& x, const Tensor& grad_out) const override;
+  /// Input gradients per sample in parallel; weight gradients in parallel
+  /// across tap groups, each tap summing samples in order, cells in order.
+  std::vector<Tensor> backward_batch(const std::vector<Tensor>& grad_out) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
 
@@ -40,7 +43,6 @@ class Conv2D : public Layer {
 
  protected:
   Tensor forward_train(const Tensor& x, std::size_t slot) override;
-  Tensor backward_sample(const Tensor& grad_out, std::size_t slot) override;
   void prepare_cache(std::size_t batch_size) override;
 
  private:

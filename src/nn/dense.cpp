@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/worker_pool.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace dpv::nn {
@@ -67,23 +68,27 @@ Tensor Dense::forward_train(const Tensor& x, std::size_t slot) {
   return forward(x);
 }
 
-Tensor Dense::backward_sample(const Tensor& grad_out, std::size_t slot) {
-  check_numel(grad_out, out_features_, "Dense::backward_sample: gradient");
-  const double* x = cached_inputs_[slot].data().data();
-  // dW[r][c] += gy[r] * x[c]; db[r] += gy[r]; gx[c] = sum_r W[r][c] * gy[r].
-  // dW products are stored before their add (never fused into an FMA).
-  Tensor gx(Shape{in_features_});
-  std::vector<double> prod(in_features_);
-  for (std::size_t r = 0; r < out_features_; ++r) {
-    const double g = grad_out[r];
-    bias_grad_[r] += g;
-    for (std::size_t c = 0; c < in_features_; ++c) prod[c] = g * x[c];
-    for (std::size_t c = 0; c < in_features_; ++c) {
-      weight_grad_[r * in_features_ + c] += prod[c];
-      gx[c] += weight_[r * in_features_ + c] * g;
+std::vector<Tensor> Dense::backward_batch(const std::vector<Tensor>& grad_out) {
+  check_backward_batch(grad_out.size());
+  const std::size_t n = grad_out.size(), threads = batch_threads(n);
+  std::vector<Tensor> gxs(n);
+  parallel_for(n, threads,  // backward_input checks every gradient's size
+               [&](std::size_t s) { gxs[s] = backward_input(Tensor(), grad_out[s]); });
+  // dW[r][c] += gy[r] * x[c] and db[r] += gy[r], one row per unit, samples
+  // in order. dW products are stored before their add (never fused into
+  // an FMA).
+  parallel_for(out_features_, threads, [&](std::size_t r) {
+    std::vector<double> prod(in_features_);
+    double* wg = weight_grad_.data().data() + r * in_features_;
+    for (std::size_t s = 0; s < n; ++s) {
+      const double g = grad_out[s][r];
+      const double* x = cached_inputs_[s].data().data();
+      bias_grad_[r] += g;
+      for (std::size_t c = 0; c < in_features_; ++c) prod[c] = g * x[c];
+      for (std::size_t c = 0; c < in_features_; ++c) wg[c] += prod[c];
     }
-  }
-  return gx;
+  });
+  return gxs;
 }
 
 void Dense::prepare_cache(std::size_t batch_size) { cached_inputs_.resize(batch_size); }

@@ -26,6 +26,9 @@ class Dense : public Layer {
 
   Tensor forward(const Tensor& x) const override;
   Tensor backward_input(const Tensor& x, const Tensor& grad_out) const override;
+  /// Input gradients per sample in parallel; weight and bias gradients in
+  /// parallel across output rows, each row summing samples in order.
+  std::vector<Tensor> backward_batch(const std::vector<Tensor>& grad_out) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
 
@@ -34,7 +37,6 @@ class Dense : public Layer {
 
  protected:
   Tensor forward_train(const Tensor& x, std::size_t slot) override;
-  Tensor backward_sample(const Tensor& grad_out, std::size_t slot) override;
   void prepare_cache(std::size_t batch_size) override;
 
  private:

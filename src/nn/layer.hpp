@@ -4,7 +4,11 @@
 //   * inference      — `forward` (const, no state),
 //   * training       — `forward_batch(training=true)` caches per-sample
 //                      intermediates; `backward_batch` consumes output
-//                      gradients and accumulates parameter gradients,
+//                      gradients and accumulates parameter gradients.
+//                      Both run sample-parallel on the worker pool once a
+//                      batch is big enough (see batch_threads); parameter
+//                      gradients keep their serial accumulation order, so
+//                      results never depend on the thread count,
 //   * verification   — `kind()` plus layer-specific accessors let the
 //                      MILP encoder and abstract interpreter walk the
 //                      network structurally (Dense / ReLU / BatchNorm are
@@ -46,6 +50,13 @@ struct ParamRef {
 /// Throws ContractViolation naming `where` unless `t` holds `numel` values.
 void check_numel(const Tensor& t, std::size_t numel, const char* where);
 
+/// Values (batch x (input + output size)) a training pass through one
+/// layer must move before it runs on the worker pool. At batch 32 the
+/// testbed network's convolutional front-end and first dense layer clear
+/// it; characterizer networks (16 features, 8 hidden, batch 16) stay
+/// inline.
+constexpr std::size_t kParallelGrain = 4096;
+
 /// Abstract feed-forward layer.
 class Layer {
  public:
@@ -86,10 +97,24 @@ class Layer {
  protected:
   /// Per-sample training forward; default layers use this via the batch
   /// loop. `slot` indexes the cache for the sample within the batch.
+  /// Called concurrently for different slots: it may write only its own
+  /// slot's cache.
   virtual Tensor forward_train(const Tensor& x, std::size_t slot) = 0;
 
-  /// Per-sample backward matching `forward_train`.
-  virtual Tensor backward_sample(const Tensor& grad_out, std::size_t slot) = 0;
+  /// Per-sample backward matching `forward_train`, for layers without
+  /// parameters: the default backward_batch calls it concurrently for
+  /// different slots. Layers with parameters override backward_batch
+  /// instead and keep this default, which throws InternalError.
+  virtual Tensor backward_sample(const Tensor& grad_out, std::size_t slot);
+
+  /// Threads a training pass over `batch` samples may use: the pool
+  /// width, or 1 (inline) while batch x (input + output size) stays below
+  /// kParallelGrain — a tiny layer costs less than a fork-join.
+  std::size_t batch_threads(std::size_t batch) const;
+
+  /// Throws ContractViolation unless `batch` matches the last training
+  /// forward.
+  void check_backward_batch(std::size_t batch) const;
 
   /// Resizes per-sample caches for a batch of the given size.
   virtual void prepare_cache(std::size_t batch_size) = 0;

@@ -1,10 +1,12 @@
 // Differential tests of the conv / pool / dense kernels against naive
 // reference loops (bounds-checked Tensor::at3 / at2 indexing, one output
-// at a time), plus a training determinism check.
+// at a time), of parallel training batches against one-sample batches,
+// plus a training determinism check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -17,7 +19,9 @@
 #include "data/dataset_gen.hpp"
 #include "data/perception_model.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/activations.hpp"
 #include "nn/dense.hpp"
+#include "nn/flatten.hpp"
 #include "nn/pool2d.hpp"
 #include "nn/serialize.hpp"
 #include "train/loss.hpp"
@@ -333,6 +337,95 @@ TEST(DenseKernel, BackwardMatchesReference) {
   EXPECT_LT(rel_error(*params[1].grad, ref_gb), kRelTol);
 }
 
+// ---- parallel batches: byte-identical to one sample at a time -------------
+
+struct TrainingBytes {
+  std::vector<Tensor> outputs, input_grads, param_grads;
+};
+
+std::vector<Tensor> param_grads(Layer& layer) {
+  std::vector<Tensor> grads;
+  for (const ParamRef& p : layer.params()) grads.push_back(*p.grad);
+  return grads;
+}
+
+// One training batch: sample-parallel once it clears kParallelGrain.
+TrainingBytes batch_pass(Layer& layer, const std::vector<Tensor>& xs,
+                         const std::vector<Tensor>& gys) {
+  layer.zero_grad();
+  TrainingBytes out;
+  out.outputs = layer.forward_batch(xs, /*training=*/true);
+  out.input_grads = layer.backward_batch(gys);
+  out.param_grads = param_grads(layer);
+  return out;
+}
+
+// The same samples one at a time, accumulating without zero_grad: always
+// inline, so this is the serial order.
+TrainingBytes sample_pass(Layer& layer, const std::vector<Tensor>& xs,
+                          const std::vector<Tensor>& gys) {
+  layer.zero_grad();
+  TrainingBytes out;
+  for (std::size_t s = 0; s < xs.size(); ++s) {
+    out.outputs.push_back(layer.forward_batch({xs[s]}, /*training=*/true)[0]);
+    out.input_grads.push_back(layer.backward_batch({gys[s]})[0]);
+  }
+  out.param_grads = param_grads(layer);
+  return out;
+}
+
+void expect_same_bytes(const std::vector<Tensor>& a, const std::vector<Tensor>& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].numel(), b[i].numel()) << what << " " << i;
+    EXPECT_EQ(std::memcmp(a[i].data().data(), b[i].data().data(), a[i].numel() * sizeof(double)),
+              0)
+        << what << " " << i << " differs";
+  }
+}
+
+void expect_batch_matches_samples(Layer& layer, bool above_grain, std::uint64_t seed) {
+  constexpr std::size_t kBatch = 32;
+  const std::size_t moved =
+      kBatch * (layer.input_shape().numel() + layer.output_shape().numel());
+  EXPECT_EQ(moved >= kParallelGrain, above_grain) << layer_kind_name(layer.kind());
+  Rng rng(seed);
+  std::vector<Tensor> xs, gys;
+  for (std::size_t s = 0; s < kBatch; ++s) {
+    xs.push_back(Tensor::randn(layer.input_shape(), rng, 1.0));
+    gys.push_back(Tensor::randn(layer.output_shape(), rng, 1.0));
+  }
+  const TrainingBytes batch = batch_pass(layer, xs, gys);
+  const TrainingBytes serial = sample_pass(layer, xs, gys);
+  const std::string name = layer_kind_name(layer.kind());
+  expect_same_bytes(batch.outputs, serial.outputs, name + " output");
+  expect_same_bytes(batch.input_grads, serial.input_grads, name + " input gradient");
+  expect_same_bytes(batch.param_grads, serial.param_grads, name + " parameter gradient");
+}
+
+TEST(ParallelTraining, BatchesAreByteIdenticalToOneSampleAtATime) {
+  Rng rng(21);
+  Conv2D conv(2, 8, 8, 3, 3, 1, 1);  // 32 x (128 + 192) values
+  conv.init_he(rng);
+  expect_batch_matches_samples(conv, true, 1);
+  Conv2D strided(3, 9, 9, 4, 3, 2, 1);  // 32 x (243 + 100)
+  strided.init_he(rng);
+  expect_batch_matches_samples(strided, true, 2);
+  Dense wide(96, 40);  // 32 x 136
+  wide.init_he(rng);
+  expect_batch_matches_samples(wide, true, 3);
+  Dense narrow(7, 5);  // 32 x 12: inline
+  narrow.init_he(rng);
+  expect_batch_matches_samples(narrow, false, 4);
+  MaxPool2D pool(2, 8, 8, 2);  // 32 x (128 + 32)
+  expect_batch_matches_samples(pool, true, 5);
+  ReLU relu(Shape{200});  // 32 x 400
+  expect_batch_matches_samples(relu, true, 6);
+  Flatten flatten(Shape{2, 8, 8});  // 32 x 256
+  expect_batch_matches_samples(flatten, true, 7);
+}
+
 // ---- determinism --------------------------------------------------------
 
 // The testbed recipe (perception net, Adam 0.005, batch 32, shuffle seed 3)
@@ -354,7 +447,8 @@ std::string train_testbed_recipe() {
 
 TEST(KernelDeterminism, TrainingTwiceGivesIdenticalBytes) {
   const std::string first = train_testbed_recipe();
-  // Repeat on two concurrent threads: scratch is call-local, so neither
+  // Repeat on two concurrent threads that share the worker pool: scratch
+  // is call-local and every gradient chain keeps its order, so neither
   // the thread nor its neighbour may change a bit.
   std::string second, third;
   std::thread a([&] { second = train_testbed_recipe(); });

@@ -50,6 +50,9 @@ check_symbol() {
   fi
 }
 
+check_symbol src/common  "parallel_for"
+check_symbol src/common  "pool_width"
+check_symbol src/nn      "kParallelGrain"
 check_symbol src/solver  "row_of_basis"
 check_symbol src/solver  "supports_tableau"
 check_symbol src/solver  "LpBackendKind"
