@@ -181,14 +181,7 @@ DeltaSweep run_sweep(const std::string& config, const nn::Network& base,
     const verify::QueryArtifacts* entry = bundle.find(key);
     if (entry != nullptr) {
       plan = verify::plan_delta_reuse(bundle, *entry, base, updated, q, {});
-      if (plan.usable) {
-        plan.apply(options);
-        // Mirror the campaign wiring: a widened trace over a drifted
-        // abstraction pays the selective per-query refresh to recover
-        // tight entry bounds.
-        if (plan.trace == verify::TraceReuse::kWidened && plan.abstraction_changed)
-          options.refresh_query_bounds = true;
-      }
+      if (plan.usable) plan.apply(options);
     }
     switch (plan.usable ? plan.trace : verify::TraceReuse::kNone) {
       case verify::TraceReuse::kExact:

@@ -41,21 +41,21 @@ const char* safety_verdict_name(SafetyVerdict verdict);
 
 struct AssumeGuaranteeConfig {
   BoundsSource bounds = BoundsSource::kMonitorBoxDiff;
-  /// Fractional margin applied to monitor hulls (0 = exact hull).
+  /// Fractional margin SafetyWorkflow::extract_features bakes into the
+  /// S̃ monitor it builds (0 = exact hull).
   double monitor_margin = 0.0;
   verify::TailVerifierOptions verifier = {};
 
   /// Delta re-certification (src/verify/delta.hpp). When `delta_base`
   /// and `delta_artifacts` are both set and the artifact bundle has an
-  /// entry under `delta_query_key`, finish() plans the reuse against the
+  /// entry under `delta_query_key`, the query plans the reuse against the
   /// network under verification, applies the surviving classes to a
   /// per-query copy of `verifier`, and records the reuse accounting in
   /// the SafetyCase. All pointers are borrowed and must outlive verify().
   const nn::Network* delta_base = nullptr;                   ///< exact base version
   const verify::DeltaArtifacts* delta_artifacts = nullptr;   ///< base's bundle
   std::size_t delta_query_key = 0;                           ///< entry to look up
-  verify::DeltaPlanOptions delta_plan = {};
-  /// Out-slot: when set, the MILP stage harvests artifacts and finish()
+  /// Out-slot: when set, the MILP stage harvests artifacts and the query
   /// packages them here (keyed by `delta_query_key`) for the caller to
   /// upsert into the next bundle. Left untouched when a cheap pipeline
   /// stage decided and the MILP never ran.
@@ -71,36 +71,20 @@ inline verify::TailVerifierOptions staged_verifier_options() {
   return options;
 }
 
-/// One attempted step of a verification ladder — an escalation rung
-/// (src/core/escalation.hpp) or a stage of the staged falsify-then-prove
-/// pipeline — with its verdict and cost. Campaign reports aggregate the
-/// `seconds` per stage name into the funnel summary.
-struct EscalationStep {
-  std::string rung;
-  verify::Verdict verdict = verify::Verdict::kUnknown;
-  std::size_t binaries = 0;
-  std::size_t milp_nodes = 0;
-  double seconds = 0.0;
-};
-
 struct SafetyCase {
   SafetyVerdict verdict = SafetyVerdict::kUnknown;
   BoundsSource bounds_source = BoundsSource::kMonitorBoxDiff;
+  /// The verifier's record of the query: verdict, which stage decided
+  /// it (`decided_by`) and what each stage cost.
   verify::VerificationResult verification;
-  /// Staged-pipeline trace: one step per stage that actually ran
-  /// (attack / zonotope / milp), with per-stage wall seconds. Empty when
-  /// the falsify pipeline is off and the MILP decided directly — then
-  /// `verification`'s encode/solve seconds are the whole story.
-  std::vector<EscalationStep> pipeline;
   /// The monitor to deploy alongside a conditional proof.
   std::optional<monitor::DiffMonitor> deployed_monitor;
 
   /// Delta-reuse accounting (meaningful when the config carried delta
-  /// artifacts): how the bound trace was reused, the max widening radius
-  /// applied, and the recycled/dropped cut split from planning.
+  /// artifacts): how the bound trace was reused and how many harvested
+  /// cuts failed re-validation. The recycled count is
+  /// `verification.cuts_recycled`.
   verify::TraceReuse delta_trace = verify::TraceReuse::kNone;
-  double delta_widening = 0.0;
-  std::size_t delta_cuts_recycled = 0;
   std::size_t delta_cuts_dropped = 0;
 
   std::string summary() const;
@@ -110,24 +94,20 @@ class AssumeGuaranteeVerifier {
  public:
   explicit AssumeGuaranteeVerifier(AssumeGuaranteeConfig config = {});
 
-  /// Verifies `risk` over the tail of `network` cut at `attach_layer`.
-  ///
-  /// `characterizer` may be null (no property constraint). For monitor
-  /// bounds, `odd_inputs` supplies the training-set images whose layer-l
-  /// activations induce S̃; for static analysis, `input_box` is the raw
-  /// input domain (e.g. [0,1]^pixels).
+  /// Verifies `risk` over the tail of `network` cut at `attach_layer`,
+  /// with the layer-l box propagated from the raw input domain
+  /// `input_box` (e.g. [0,1]^pixels). `config_.bounds` must be
+  /// kStaticAnalysis; a SAFE verdict is unconditional. `characterizer`
+  /// may be null (no property constraint).
   SafetyCase verify(const nn::Network& network, std::size_t attach_layer,
                     const nn::Network* characterizer, const verify::RiskSpec& risk,
-                    const std::vector<Tensor>& odd_inputs,
                     const absint::Box& input_box) const;
 
-  /// Same verification, but against a caller-built monitor: the query's
-  /// layer-l box (and, under kMonitorBoxDiff, diff bounds) come from
-  /// `mon` as-is — `monitor_margin` is NOT re-applied, the caller bakes
-  /// any margin in when building the monitor. This is the entry point
-  /// for callers that scope S̃ themselves (the scenario-coverage engine
-  /// builds one monitor per domain cell from that cell's renders).
-  /// `config_.bounds` must be a monitor source. A SAFE verdict is
+  /// Same verification over a caller-built S̃: the query's layer-l box
+  /// (and, under kMonitorBoxDiff, diff bounds) come from `mon` as-is, so
+  /// any margin is the caller's to bake in. SafetyWorkflow builds one
+  /// monitor per property, the scenario-coverage engine one per domain
+  /// cell. `config_.bounds` must be a monitor source. A SAFE verdict is
   /// conditional on deploying exactly `mon`.
   SafetyCase verify_with_monitor(const nn::Network& network, std::size_t attach_layer,
                                  const nn::Network* characterizer,
@@ -135,9 +115,13 @@ class AssumeGuaranteeVerifier {
                                  const monitor::DiffMonitor& mon) const;
 
  private:
-  /// Shared tail: runs the verifier on a fully-built query, records the
-  /// pipeline trace, and maps the raw verdict to a SafetyVerdict.
-  SafetyCase finish(verify::VerificationQuery& query) const;
+  /// The one query path: builds the verification query over the
+  /// layer-l abstraction, plans delta reuse, runs the verifier and maps
+  /// its verdict to a SafetyVerdict.
+  SafetyCase run_query(const nn::Network& network, std::size_t attach_layer,
+                       const nn::Network* characterizer, const verify::RiskSpec& risk,
+                       absint::Box input_box,
+                       std::vector<absint::Interval> diff_bounds) const;
 
   AssumeGuaranteeConfig config_;
 };

@@ -239,7 +239,6 @@ CampaignEntryRecord make_entry_record(std::size_t i, const WorkflowReport& wr) {
   rec.characterizer_usable = wr.characterizer_usable;
   rec.safety_verdict = wr.safety.verdict;
   rec.bounds_source = wr.safety.bounds_source;
-  rec.pipeline_ran = !wr.safety.pipeline.empty();
   rec.table_one = wr.table_one.counts;
   rec.verdict = v.verdict;
   rec.decided_by = v.decided_by;
@@ -265,12 +264,6 @@ WorkflowReport restore_entry_record(const CampaignEntryRecord& rec) {
   wr.characterizer_usable = rec.characterizer_usable;
   wr.safety.verdict = rec.safety_verdict;
   wr.safety.bounds_source = rec.bounds_source;
-  if (rec.pipeline_ran) {
-    EscalationStep step;
-    step.rung = "checkpoint-restored";
-    step.verdict = rec.verdict;
-    wr.safety.pipeline.push_back(std::move(step));
-  }
   wr.table_one.counts = rec.table_one;
   verify::VerificationResult& v = wr.safety.verification;
   v.verdict = rec.verdict;
@@ -325,8 +318,8 @@ std::string CampaignReport::format_encoding_summary() const {
   } else {
     out << "; encoding cache off (every entry re-encoded its tail)";
   }
-  if (cuts_added > 0 || cut_rounds > 0) {
-    out << "; cuts: " << cuts_added << " added over " << cut_rounds
+  if (solver_totals.cuts_added > 0 || solver_totals.cut_rounds > 0) {
+    out << "; cuts: " << solver_totals.cuts_added << " added over " << solver_totals.cut_rounds
         << " root rounds, " << milp_nodes << " B&B nodes total";
   }
   // Staged-pipeline funnel: only when the falsify pipeline actually ran
@@ -554,6 +547,7 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
     ckpt.fingerprint = fingerprint;
     ckpt.config_hash = config_hash;
     ckpt.entry_count = entries.size();
+    ckpt.falsify_enabled = config.assume_guarantee.verifier.falsify.enabled;
     for (std::size_t i = 0; i < entries.size(); ++i)
       if (settled[i]) ckpt.records.push_back(make_entry_record(i, results[i]));
     save_campaign_checkpoint(config.checkpoint_path, ckpt);
@@ -674,6 +668,7 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
     report.milp_nodes += v.milp_nodes;
     report.solver_totals.merge(v.solver_stats);
   };
+  const bool staged = config.assume_guarantee.verifier.falsify.enabled;
   report.reports.reserve(entries.size());
   for (WorkflowReport& wr : results) {
     const verify::VerificationResult& v = wr.safety.verification;
@@ -693,7 +688,7 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
           ++report.delta_entries_cold;
           break;
       }
-      report.delta_cuts_recycled += wr.safety.delta_cuts_recycled;
+      report.delta_cuts_recycled += v.cuts_recycled;
       report.delta_cuts_dropped += wr.safety.delta_cuts_dropped;
     }
     if (wr.deadline_skipped) {
@@ -719,8 +714,9 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
       // Funnel: which stage settled this entry. Only meaningful when the
       // falsify pipeline ran (all zero otherwise, and the summary line
       // stays silent), except UNKNOWN which we only tally alongside the
-      // other funnel buckets.
-      if (!wr.safety.pipeline.empty()) {
+      // other funnel buckets. The flag is part of the checkpoint config
+      // hash, so restored entries ran under it too.
+      if (staged) {
         if (wr.safety.verdict == SafetyVerdict::kUnknown) {
           ++report.funnel_unknown;
         } else {
@@ -752,10 +748,6 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
     v.solver_stats.best_bound_gap = 0.0;
     add_costs(v);
   }
-  // The dedicated cut counters mirror the merged totals (kept as
-  // top-level fields for report readers; one accumulation source).
-  report.cuts_added = report.solver_totals.cuts_added;
-  report.cut_rounds = report.solver_totals.cut_rounds;
   report.characterizers_trained = characterizers_trained;
   report.feature_images = feature_images;
   return report;

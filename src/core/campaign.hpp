@@ -83,12 +83,9 @@ struct CampaignReport {
   std::size_t pool_points_contributed = 0;
   std::size_t attack_seeds_tried = 0;
 
-  /// Cutting-plane accounting summed across entries (all zero when
-  /// `assume_guarantee.verifier.milp.cuts` leaves the engine off).
-  /// `milp_nodes` totals the B&B nodes so node-count deltas between
-  /// cuts-on and cuts-off campaigns are directly comparable.
-  std::size_t cuts_added = 0;
-  std::size_t cut_rounds = 0;
+  /// B&B nodes summed across entries, so node-count deltas between
+  /// cuts-on and cuts-off campaigns are directly comparable (the cut
+  /// counters themselves are in `solver_totals`).
   std::size_t milp_nodes = 0;
 
   /// Delta re-certification accounting (all zero unless the config set

@@ -35,7 +35,7 @@ void ConfigHasher::add_verifier(const verify::TailVerifierOptions& v) {
   add(v.risk_margin_objective);
   add(static_cast<std::uint64_t>(v.falsify.restarts));
   add(static_cast<std::uint64_t>(v.falsify.steps));
-  add(v.falsify.step_scale);
+  add(verify::kAttackStepScale);  // a constant; its slot keeps older checkpoints resumable
   add(static_cast<std::uint64_t>(v.falsify.seed));
 }
 
@@ -195,7 +195,9 @@ void write_round(Writer& w, const CoverageRound& s) {
   w.size_value(s.budget_nodes_granted);
   w.size_value(s.budget_cells_retried);
   w.size_value(s.budget_cells_rescued);
-  w.dbl(s.wall_seconds);
+  // The wall-seconds slot keeps the format readable both ways but always
+  // holds 0, so identical runs write identical files.
+  w.dbl(0.0);
   w.newline();
 }
 
@@ -215,7 +217,7 @@ CoverageRound read_round(Reader& r) {
   s.budget_nodes_granted = r.size_value();
   s.budget_cells_retried = r.size_value();
   s.budget_cells_rescued = r.size_value();
-  s.wall_seconds = r.dbl();
+  r.dbl();  // wall-seconds slot, ignored (see write_round)
   return s;
 }
 
@@ -239,7 +241,7 @@ void save_campaign_checkpoint(const std::string& path, const CampaignCheckpoint&
     w.boolean(rec.characterizer_usable);
     w.size_value(static_cast<std::size_t>(rec.safety_verdict));
     w.size_value(static_cast<std::size_t>(rec.bounds_source));
-    w.boolean(rec.pipeline_ran);
+    w.boolean(ckpt.falsify_enabled);
     write_confusion(w, rec.table_one);
     w.size_value(static_cast<std::size_t>(rec.verdict));
     w.size_value(static_cast<std::size_t>(rec.decided_by));
@@ -280,7 +282,7 @@ bool load_campaign_checkpoint(const std::string& path, CampaignCheckpoint& out) 
     rec.characterizer_usable = r.boolean();
     rec.safety_verdict = static_cast<SafetyVerdict>(read_enum(r, 3, "safety verdict"));
     rec.bounds_source = static_cast<BoundsSource>(read_enum(r, 2, "bounds source"));
-    rec.pipeline_ran = r.boolean();
+    out.falsify_enabled = r.boolean();
     rec.table_one = read_confusion(r);
     rec.verdict = static_cast<verify::Verdict>(read_enum(r, 2, "verdict"));
     rec.decided_by =

@@ -49,7 +49,7 @@ class ConfigHasher {
   void add(bool v) { add(static_cast<std::uint64_t>(v ? 1 : 0)); }
   /// The verdict-affecting verifier options campaigns and coverage runs
   /// both hash: node cap, validation tolerance, margin objective and the
-  /// attack's restarts, steps, step scale and seed.
+  /// attack's restarts, steps, fixed step scale and seed.
   void add_verifier(const verify::TailVerifierOptions& v);
 
   std::size_t hash() const { return state_; }
@@ -79,10 +79,6 @@ struct CampaignEntryRecord {
   bool characterizer_usable = false;
   SafetyVerdict safety_verdict = SafetyVerdict::kUnknown;
   BoundsSource bounds_source = BoundsSource::kMonitorBoxDiff;
-  /// Whether the staged pipeline ran (restored as one synthetic
-  /// "checkpoint-restored" EscalationStep so funnel accounting still
-  /// sees a pipeline entry).
-  bool pipeline_ran = false;
   train::ConfusionCounts table_one;
   verify::Verdict verdict = verify::Verdict::kUnknown;
   verify::DecisionStage decided_by = verify::DecisionStage::kMilp;
@@ -98,6 +94,10 @@ struct CampaignCheckpoint {
   std::size_t fingerprint = 0;  ///< verify::tail_fingerprint(net, 0)
   std::size_t config_hash = 0;
   std::size_t entry_count = 0;  ///< total entries in the campaign
+  /// The campaign's `falsify.enabled`, written into every record's
+  /// staged-pipeline slot. Resume never reads it: the flag is part of
+  /// the config hash.
+  bool falsify_enabled = false;
   std::vector<CampaignEntryRecord> records;  ///< settled entries only
 };
 

@@ -388,11 +388,10 @@ CoverageReport run_coverage(const nn::Network& network, std::size_t attach_layer
   std::shared_ptr<CounterexamplePool> pool = options.counterexample_pool;
   if (pool == nullptr) pool = std::make_shared<CounterexamplePool>();
 
-  // Base assume-guarantee config: the per-cell monitor is built by the
-  // engine (margin baked in), so the verifier-level margin stays 0.
+  // Base assume-guarantee config; the per-cell monitor is built by the
+  // engine with its margin baked in.
   AssumeGuaranteeConfig ag_base;
   ag_base.bounds = options.bounds;
-  ag_base.monitor_margin = 0.0;
   ag_base.verifier = options.verifier;
   if (options.cell_node_budget > 0)
     ag_base.verifier.milp.max_nodes = options.cell_node_budget;

@@ -214,7 +214,8 @@ struct CoverageOptions {
 };
 
 /// Per-round accounting (perf numbers only in wall_seconds; everything
-/// else is deterministic).
+/// else is deterministic). Checkpoints do not keep wall_seconds:
+/// restored rounds report 0 s.
 struct CoverageRound {
   std::size_t round = 0;
   std::size_t cells_processed = 0;

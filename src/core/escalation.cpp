@@ -64,8 +64,7 @@ EscalationOutcome EscalationVerifier::verify(const nn::Network& network,
   std::vector<Tensor> carried_seeds;
   for (const Rung& rung : kRungs) {
     monitor::RelationMonitor mon = monitor::RelationMonitor::from_activations(
-        activations, pairs_up_to_stride(width, rung.pair_stride_limit),
-        config_.monitor_margin);
+        activations, pairs_up_to_stride(width, rung.pair_stride_limit));
 
     verify::VerificationQuery query;
     query.network = &network;

@@ -29,8 +29,14 @@
 
 namespace dpv::core {
 
-// EscalationStep lives in core/assume_guarantee.hpp (shared with the
-// staged-pipeline trace in SafetyCase).
+/// One attempted rung of the ladder with its verdict and cost.
+struct EscalationStep {
+  std::string rung;
+  verify::Verdict verdict = verify::Verdict::kUnknown;
+  std::size_t binaries = 0;
+  std::size_t milp_nodes = 0;
+  double seconds = 0.0;
+};
 
 struct EscalationOutcome {
   SafetyVerdict verdict = SafetyVerdict::kUnknown;
@@ -46,7 +52,6 @@ struct EscalationOutcome {
 };
 
 struct EscalationConfig {
-  double monitor_margin = 0.0;
   verify::TailVerifierOptions verifier = {};
 };
 

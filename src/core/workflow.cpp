@@ -131,7 +131,7 @@ WorkflowReport SafetyWorkflow::run(const std::string& property_name,
   const AssumeGuaranteeVerifier verifier(config.assume_guarantee);
   if (config.assume_guarantee.bounds == BoundsSource::kStaticAnalysis) {
     report.safety = verifier.verify(
-        perception_, attach_layer_, &report.characterizer.network, risk, {},
+        perception_, attach_layer_, &report.characterizer.network, risk,
         absint::uniform_box(perception_.input_shape().numel(), 0.0, 1.0));
   } else {
     check(features.monitor.has_value() &&

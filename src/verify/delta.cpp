@@ -345,6 +345,12 @@ void DeltaPlan::apply(TailVerifierOptions& options) const {
   }
   if (!cuts.empty()) options.milp.cuts.initial_cuts = &cuts;
   if (!pseudocosts.empty()) options.pseudocost_priors = &pseudocosts;
+  // A widened trace over a *drifted* abstraction leaves the query's
+  // entry boxes loose; the selective refresh recovers per-query
+  // tightness with a few LPs instead of a full bound pre-pass. With an
+  // unchanged box the entry bounds cannot be stale and the refresh would
+  // be pure overhead.
+  if (trace == TraceReuse::kWidened && abstraction_changed) options.refresh_query_bounds = true;
 }
 
 DeltaPlan plan_delta_reuse(const DeltaArtifacts& artifacts, const QueryArtifacts& entry,

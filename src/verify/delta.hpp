@@ -164,7 +164,9 @@ struct DeltaPlan {
 
   /// Wires the plan into verifier options: bound trace + key into
   /// `encode`, recycled cuts into `milp.cuts.initial_cuts`, priors into
-  /// `pseudocost_priors`. No-ops for the classes the plan rejected.
+  /// `pseudocost_priors`. No-ops for the classes the plan rejected. A
+  /// widened trace over a changed abstraction also turns on
+  /// `refresh_query_bounds`: the only place that rule lives.
   void apply(TailVerifierOptions& options) const;
 };
 

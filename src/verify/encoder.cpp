@@ -93,7 +93,7 @@ class NetworkEncoder {
     } else if (options_.bounds == BoundMethod::kZonotope &&
                absint::zonotope_supported(net, from_layer, to_layer)) {
       trace = absint::propagate_zonotope_trace(net, bounds_, from_layer, to_layer,
-                                               options_.zonotope_generator_budget);
+                                               kZonotopeGeneratorBudget);
       trace_ptr = &trace;
     }
 

@@ -41,6 +41,13 @@ enum class BoundMethod {
 
 const char* bound_method_name(BoundMethod method);
 
+/// Generator budget of every zonotope sweep (the kZonotope encoder
+/// pre-pass and the falsifier's bound proof): each unstable ReLU adds a
+/// noise symbol, so wide tails grow quadratically without order
+/// reduction. Reduction preserves per-neuron radii, so bounds stay sound
+/// (and never looser than interval) at any budget.
+inline constexpr std::size_t kZonotopeGeneratorBudget = 256;
+
 struct EncodeOptions {
   BoundMethod bounds = BoundMethod::kInterval;
   /// Encode provably-active/inactive ReLUs linearly (no binary).
@@ -50,11 +57,6 @@ struct EncodeOptions {
   /// the exact MILP (implied by the big-M rows + integrality) but
   /// strengthens the LP relaxation, pruning branch & bound nodes.
   bool triangle_relaxation = true;
-  /// Generator budget for the kZonotope pre-pass: every unstable ReLU
-  /// adds a noise symbol, so wide tails grow quadratically without order
-  /// reduction. 0 = unlimited. Reduction preserves per-neuron radii, so
-  /// bounds stay sound (and never looser than interval) at any budget.
-  std::size_t zonotope_generator_budget = 256;
   /// Externally supplied sound per-layer boxes for the verified tail
   /// (delta-reuse injection): element k bounds the activations after
   /// layer attach_layer + k. When set, the encoder skips its own

@@ -79,7 +79,6 @@ bool same_options(const EncodeOptions& a, const EncodeOptions& b) {
   // built from version A's trace must never serve version B's queries.
   return a.bounds == b.bounds && a.eliminate_stable_relus == b.eliminate_stable_relus &&
          a.triangle_relaxation == b.triangle_relaxation &&
-         a.zonotope_generator_budget == b.zonotope_generator_budget &&
          (a.tail_bound_trace == nullptr) == (b.tail_bound_trace == nullptr) &&
          a.tail_bound_trace_key == b.tail_bound_trace_key &&
          a.lp_options.max_iterations == b.lp_options.max_iterations &&

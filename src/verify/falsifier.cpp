@@ -111,7 +111,7 @@ bool pgd_descend(const VerificationQuery& query, const FalsifyOptions& options, 
       double width = query.input_box[i].width();
       if (!std::isfinite(width) || width > 1e6) width = 1e6;
       const double sign = gx[i] > 0.0 ? 1.0 : (gx[i] < 0.0 ? -1.0 : 0.0);
-      x[i] -= options.step_scale * width * sign;
+      x[i] -= kAttackStepScale * width * sign;
     }
     clamp_to_box(x, query.input_box);
     if (validate(x)) return true;
@@ -192,7 +192,7 @@ FalsifyReport falsify_query(const VerificationQuery& query, const FalsifyOptions
   // Recycled seed points first: a MILP counterexample from a sibling
   // query or a frontier near-miss is usually one clamp away from a
   // validated witness here.
-  const std::size_t seed_count = std::min(options.seed_points.size(), options.max_seed_points);
+  const std::size_t seed_count = std::min(options.seed_points.size(), kMaxSeedPoints);
   for (std::size_t s = 0; s < seed_count && !report.falsified; ++s) {
     if (run_expired(options.run_control)) return report;  // sound: just "not falsified"
     if (options.seed_points[s].numel() != n) continue;
@@ -220,7 +220,7 @@ FalsifyReport falsify_query(const VerificationQuery& query, const FalsifyOptions
   return report;
 }
 
-BoundProofReport prove_by_bounds(const VerificationQuery& query, const FalsifyOptions& options) {
+BoundProofReport prove_by_bounds(const VerificationQuery& query, const FalsifyOptions&) {
   check(query.network != nullptr, "prove_by_bounds: null network");
   const nn::Network& net = *query.network;
   const std::size_t layer_count = net.layer_count();
@@ -234,8 +234,7 @@ BoundProofReport prove_by_bounds(const VerificationQuery& query, const FalsifyOp
   absint::Box tail_range_box;
   if (tail_zono) {
     tail_range_z = absint::propagate_zonotope_range(net, tail_range_z, query.attach_layer,
-                                                    layer_count,
-                                                    options.zonotope_generator_budget);
+                                                    layer_count, kZonotopeGeneratorBudget);
   } else {
     tail_range_box =
         absint::propagate_box_range(net, query.input_box, query.attach_layer, layer_count);
@@ -261,7 +260,7 @@ BoundProofReport prove_by_bounds(const VerificationQuery& query, const FalsifyOp
     if (char_zono) {
       const absint::Zonotope hz = absint::propagate_zonotope_range(
           h, absint::Zonotope::from_box(query.input_box), 0, h.layer_count(),
-          options.zonotope_generator_budget);
+          kZonotopeGeneratorBudget);
       logit_range = hz.to_box()[0];
     } else {
       logit_range = absint::propagate_box_range(h, query.input_box, 0, h.layer_count())[0];

@@ -43,6 +43,12 @@
 
 namespace dpv::verify {
 
+/// Signed PGD step size per dimension, as a fraction of that dimension's
+/// box width (the activation box is not isotropic).
+inline constexpr double kAttackStepScale = 0.08;
+/// How many recycled seed points an attack tries (earliest first).
+inline constexpr std::size_t kMaxSeedPoints = 8;
+
 /// Tuning for the attack and bound-proof stages. Carried inside
 /// TailVerifierOptions; `enabled` is the master switch (off here, on in
 /// the default verifier options of campaigns and coverage runs).
@@ -53,9 +59,6 @@ struct FalsifyOptions {
   std::size_t restarts = 4;
   /// PGD iterations per start.
   std::size_t steps = 60;
-  /// Signed step size per dimension, as a fraction of that dimension's
-  /// box width (the activation box is not isotropic).
-  double step_scale = 0.08;
   /// Seed for the random restarts; run_campaign derives a per-entry
   /// value from this so tables stay bit-identical across thread counts.
   std::uint64_t seed = 0xfa151f;
@@ -66,14 +69,12 @@ struct FalsifyOptions {
   double require_margin = 1e-9;
   /// Recycled start points in layer-l activation space (MILP
   /// counterexamples, B&B frontier near-misses, prior-rung witnesses).
-  /// Clamped to the query box and validated like any other candidate.
+  /// Clamped to the query box and validated like any other candidate;
+  /// the first kMaxSeedPoints are tried.
   std::vector<Tensor> seed_points;
-  /// Cap on how many seed_points are tried (earliest first).
-  std::size_t max_seed_points = 8;
-  /// Run the zonotope bound-proof stage after a failed attack.
+  /// Run the zonotope bound-proof stage (generator budget
+  /// kZonotopeGeneratorBudget) after a failed attack.
   bool zonotope_prove = true;
-  /// Generator budget for that sweep (0 = unlimited).
-  std::size_t zonotope_generator_budget = 256;
   /// Cooperative cancellation: polled between PGD starts. Expiry makes
   /// the attack return early as "not falsified" — sound, the query just
   /// falls through to whatever stage the remaining budget allows. Not
@@ -114,7 +115,9 @@ bool validate_witness(const VerificationQuery& query, const Tensor& activation,
 /// Stage 0: multi-start projected gradient ascent on the risk margin.
 FalsifyReport falsify_query(const VerificationQuery& query, const FalsifyOptions& options);
 
-/// Stage 1: zonotope (or interval-fallback) output-range proof.
+/// Stage 1: zonotope (or interval-fallback) output-range proof under
+/// kZonotopeGeneratorBudget. `options` is unused: the sweep has no
+/// setting of its own.
 BoundProofReport prove_by_bounds(const VerificationQuery& query, const FalsifyOptions& options);
 
 }  // namespace dpv::verify

@@ -222,7 +222,8 @@ struct TailVerifierOptions {
   /// *column* bounds (rows are never touched) preserves all integral
   /// points: verdicts are unchanged, but stale widened boxes at the
   /// query's entry recover per-query tightness without re-running the
-  /// full bound pre-pass.
+  /// full bound pre-pass. DeltaPlan::apply sets it for a widened trace
+  /// over a changed abstraction.
   bool refresh_query_bounds = false;
 };
 

@@ -6,10 +6,13 @@
 // wherever the interruption landed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -71,7 +74,6 @@ TEST(CheckpointFile, CampaignRecordsRoundTripBitExactly) {
   rec.validation_confusion.tn = 55;
   rec.characterizer_usable = true;
   rec.safety_verdict = SafetyVerdict::kSafeConditional;
-  rec.pipeline_ran = true;
   rec.table_one.tp = 9;
   rec.table_one.fn = 1;
   rec.verdict = verify::Verdict::kUnsafe;
@@ -109,7 +111,6 @@ TEST(CheckpointFile, CampaignRecordsRoundTripBitExactly) {
   EXPECT_EQ(r.validation_confusion.tp, 40u);
   EXPECT_TRUE(r.characterizer_usable);
   EXPECT_EQ(r.safety_verdict, SafetyVerdict::kSafeConditional);
-  EXPECT_TRUE(r.pipeline_ran);
   EXPECT_EQ(r.table_one.tp, 9u);
   EXPECT_EQ(r.verdict, verify::Verdict::kUnsafe);
   EXPECT_EQ(r.decided_by, verify::DecisionStage::kAttack);
@@ -478,6 +479,70 @@ TEST(CampaignResume, ResumeWithoutACheckpointRunsFresh) {
   EXPECT_EQ(report.format_table(), tb.reference_table);
 }
 
+/// The `funnel:` segment of a campaign's encoding summary (up to the
+/// next non-funnel segment), with its wall seconds masked.
+std::string funnel_segment(const std::string& summary) {
+  const std::size_t start = summary.find("funnel:");
+  if (start == std::string::npos) return "";
+  std::size_t end = summary.size();
+  for (const char* next : {"; budget:", "; basis:", "; checkpoint:", "; delta:", "; preparation:"})
+    end = std::min(end, summary.find(next, start));
+  return std::regex_replace(summary.substr(start, end - start), std::regex("[0-9.]+s\\b"),
+                            "#s");
+}
+
+TEST(CampaignResume, FunnelSurvivesAResumeWithFalsifyOnAndOff) {
+  // Restored entries carry no stage timings, only the verdict and the
+  // deciding stage; the funnel must still tally them exactly as the
+  // uninterrupted run did, whether the staged pipeline is on or off.
+  const CampaignTestbed& tb = campaign_testbed();
+  for (const bool falsify : {true, false}) {
+    WorkflowConfig config = base_config();
+    config.assume_guarantee.verifier.falsify.enabled = falsify;
+    const CampaignReport reference = run_campaign(tb.net, 2, tb.entries, config);
+    const std::size_t funnel_total =
+        reference.funnel_attack_falsified + reference.funnel_zonotope_proved +
+        reference.funnel_milp_proved + reference.funnel_milp_falsified +
+        reference.funnel_unknown;
+    EXPECT_EQ(funnel_total > 0, falsify);
+
+    const std::string path =
+        temp_path(std::string("ckpt_campaign_funnel_") + (falsify ? "on" : "off"));
+    bool resumed_mid_battery = false;
+    for (std::uint64_t budget = 1; budget <= (1u << 20) && !resumed_mid_battery;
+         budget *= 2) {
+      std::remove(path.c_str());
+      RunControl rc;
+      rc.set_poll_budget(budget);
+      WorkflowConfig cut = config;
+      cut.run_control = &rc;
+      cut.checkpoint_path = path;
+      if (!run_campaign(tb.net, 2, tb.entries, cut).interrupted) break;
+
+      WorkflowConfig cont = config;
+      cont.checkpoint_path = path;
+      cont.resume = true;
+      const CampaignReport resumed = run_campaign(tb.net, 2, tb.entries, cont);
+      if (resumed.resume_entries_restored == 0 ||
+          resumed.resume_entries_restored == tb.entries.size())
+        continue;
+      resumed_mid_battery = true;
+      const std::string label = std::string("falsify ") + (falsify ? "on" : "off") +
+                                ", budget " + std::to_string(budget);
+      EXPECT_EQ(resumed.format_table(), reference.format_table()) << label;
+      EXPECT_EQ(resumed.funnel_attack_falsified, reference.funnel_attack_falsified) << label;
+      EXPECT_EQ(resumed.funnel_zonotope_proved, reference.funnel_zonotope_proved) << label;
+      EXPECT_EQ(resumed.funnel_milp_proved, reference.funnel_milp_proved) << label;
+      EXPECT_EQ(resumed.funnel_milp_falsified, reference.funnel_milp_falsified) << label;
+      EXPECT_EQ(resumed.funnel_unknown, reference.funnel_unknown) << label;
+      EXPECT_EQ(funnel_segment(resumed.format_encoding_summary()),
+                funnel_segment(reference.format_encoding_summary()))
+          << label;
+    }
+    EXPECT_TRUE(resumed_mid_battery) << "falsify " << falsify;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Coverage: round-boundary resume over a trained perception model.
 
@@ -638,6 +703,36 @@ TEST(CoverageResume, InjectedFaultResumesFromTheRoundStartCheckpoint) {
     EXPECT_FALSE(resumed.interrupted);
     EXPECT_EQ(resumed.format_table(), tb.reference_table) << threads << " threads";
     EXPECT_EQ(resumed.map.format_map(), tb.reference_map) << threads << " threads";
+  }
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+TEST(CoverageResume, IdenticalRunsWriteIdenticalCheckpoints) {
+  // A checkpoint holds only deterministic state (no wall seconds), so
+  // the same run writes the same bytes, at any thread count.
+  const ResumeCoverageTestbed& tb = coverage_testbed();
+  std::string first;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (int run = 0; run < 2; ++run) {
+      const std::string path = temp_path("ckpt_coverage_bytes_" + std::to_string(threads) +
+                                         "_" + std::to_string(run));
+      CoverageOptions options = coverage_options(tb.model.config);
+      options.threads = threads;
+      options.checkpoint_path = path;
+      ASSERT_FALSE(run_coverage(tb.model.network, tb.model.attach_layer, tb.risk,
+                                coverage_domain(), options)
+                       .interrupted);
+      const std::string bytes = read_bytes(path);
+      ASSERT_FALSE(bytes.empty());
+      if (first.empty())
+        first = bytes;
+      else
+        EXPECT_EQ(bytes, first) << threads << " threads, run " << run;
+    }
   }
 }
 

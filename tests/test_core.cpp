@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "data/dataset_gen.hpp"
 #include "data/perception_model.hpp"
+#include "monitor/activation_recorder.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "train/loss.hpp"
@@ -163,8 +164,10 @@ TEST(AssumeGuarantee, ConditionalVsUnconditionalVerdicts) {
 
   AssumeGuaranteeConfig monitor_cfg;
   monitor_cfg.bounds = BoundsSource::kMonitorBoxDiff;
+  const monitor::DiffMonitor mon = monitor::DiffMonitor::from_activations(
+      monitor::record_activations(perception, 2, odd_inputs));
   const SafetyCase via_monitor = AssumeGuaranteeVerifier(monitor_cfg)
-                                     .verify(perception, 2, nullptr, risk, odd_inputs, {});
+                                     .verify_with_monitor(perception, 2, nullptr, risk, mon);
   EXPECT_EQ(via_monitor.verdict, SafetyVerdict::kSafeConditional);
   ASSERT_TRUE(via_monitor.deployed_monitor.has_value());
   // The monitor accepts the ODD data it was built from.
@@ -175,8 +178,7 @@ TEST(AssumeGuarantee, ConditionalVsUnconditionalVerdicts) {
   static_cfg.bounds = BoundsSource::kStaticAnalysis;
   const SafetyCase via_static =
       AssumeGuaranteeVerifier(static_cfg)
-          .verify(perception, 2, nullptr, risk, {},
-                  absint::uniform_box(2, -1.0, 1.0));
+          .verify(perception, 2, nullptr, risk, absint::uniform_box(2, -1.0, 1.0));
   // Static analysis may or may not prove this (bounds are coarser), but a
   // SAFE answer must be the unconditional kind and UNSAFE must carry a
   // validated counterexample.
@@ -198,19 +200,12 @@ TEST(AssumeGuarantee, UnsafeWhenRiskReachableInOdd) {
   for (const Tensor& x : odd_inputs) max_out = std::max(max_out, perception.forward(x)[0]);
   verify::RiskSpec risk("reachable");
   risk.output_at_least(0, 1, max_out - 0.1);  // achieved by the data itself
-  const SafetyCase sc =
-      AssumeGuaranteeVerifier().verify(perception, 2, nullptr, risk, odd_inputs, {});
+  const SafetyCase sc = AssumeGuaranteeVerifier().verify_with_monitor(
+      perception, 2, nullptr, risk,
+      monitor::DiffMonitor::from_activations(
+          monitor::record_activations(perception, 2, odd_inputs)));
   EXPECT_EQ(sc.verdict, SafetyVerdict::kUnsafe);
   EXPECT_TRUE(sc.verification.counterexample_validated);
-}
-
-TEST(AssumeGuarantee, MonitorRequiresOddInputs) {
-  Rng rng(15);
-  const nn::Network perception = make_toy_perception(rng);
-  verify::RiskSpec risk;
-  risk.output_at_least(0, 1, 0.0);
-  EXPECT_THROW(AssumeGuaranteeVerifier().verify(perception, 2, nullptr, risk, {}, {}),
-               ContractViolation);
 }
 
 TEST(Workflow, EndToEndOnTrainedRoadModel) {

@@ -442,7 +442,7 @@ TEST(CutPlumbing, CampaignAggregatesCutCounters) {
   config.assume_guarantee.verifier.falsify.enabled = false;
   const core::CampaignReport report = core::run_campaign(net, 1, entries, config);
   EXPECT_GT(report.milp_nodes, 0u);
-  EXPECT_GT(report.cut_rounds + report.cuts_added, 0u);
+  EXPECT_GT(report.solver_totals.cut_rounds + report.solver_totals.cuts_added, 0u);
   EXPECT_NE(report.format_encoding_summary().find("cuts:"), std::string::npos)
       << report.format_encoding_summary();
 }

@@ -373,12 +373,16 @@ TEST(StagedCampaign, FunnelCountersPartitionTheUsableEntries) {
   EXPECT_GT(report.funnel_zonotope_proved, 0u);
   EXPECT_NE(report.format_encoding_summary().find("funnel:"), std::string::npos);
 
-  // Per-entry stage traces agree with the funnel.
+  // Each entry's deciding stage agrees with the funnel.
+  std::size_t by_attack = 0, by_zonotope = 0;
   for (const WorkflowReport& wr : report.reports) {
-    if (!wr.characterizer_usable) continue;
-    ASSERT_FALSE(wr.safety.pipeline.empty());
-    EXPECT_EQ(wr.safety.pipeline.front().rung, "attack");
+    if (!wr.characterizer_usable || wr.safety.verdict == SafetyVerdict::kUnknown) continue;
+    const verify::DecisionStage stage = wr.safety.verification.decided_by;
+    by_attack += stage == verify::DecisionStage::kAttack;
+    by_zonotope += stage == verify::DecisionStage::kZonotope;
   }
+  EXPECT_EQ(by_attack, report.funnel_attack_falsified);
+  EXPECT_EQ(by_zonotope, report.funnel_zonotope_proved);
 }
 
 TEST(StagedCampaign, PoolRecyclesWitnessesAcrossCampaigns) {
